@@ -20,19 +20,9 @@ from .core import (
     SvpError,
     TimeSeries,
     backtrack,
-    lex_min,
 )
-from .costs import CostModel, cost, passes_subadditivity_suite
-from .engine import (
-    Candidate,
-    EngineConfig,
-    SvpResult,
-    dp_step,
-    op_pelt_run,
-    prune_candidates,
-    segmentation_is_valid,
-    svp_run,
-)
+from .costs import CostModel, cost
+from .engine import EngineConfig, SvpResult, op_pelt_run, segmentation_is_valid, svp_run
 from .validity import (
     ValidityState,
     ValidityTest,
@@ -50,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiPoint",
-    "Candidate",
     "ConfigError",
     "CorruptTableError",
     "CostModel",
@@ -70,14 +59,10 @@ __all__ = [
     "backtrack",
     "chi2_quantile_1df",
     "cost",
-    "dp_step",
     "glr_scan_naive",
     "is_segment_valid",
-    "lex_min",
     "mood_scan",
     "op_pelt_run",
-    "passes_subadditivity_suite",
-    "prune_candidates",
     "segment_statistic",
     "segmentation_is_valid",
     "sidak_threshold",

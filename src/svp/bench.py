@@ -13,7 +13,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -336,12 +336,12 @@ def run_study(config: StudyConfig) -> tuple[list[StudyRow], dict]:
     failures: list[dict] = []
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = pool.map(_run_cell, cells)
-            for cell, outcome in zip(cells, _collect(outcomes)):
-                if isinstance(outcome, Exception):
-                    failures.append(_failure_record(cell, outcome))
-                else:
-                    rows.append(outcome)
+            futures = [pool.submit(_run_cell, cell) for cell in cells]
+            for cell, future in zip(cells, futures):
+                try:
+                    rows.append(future.result())
+                except Exception as exc:  # cell isolation: keep partial results
+                    failures.append(_failure_record(cell, exc))
     else:
         for cell in cells:
             try:
@@ -349,18 +349,6 @@ def run_study(config: StudyConfig) -> tuple[list[StudyRow], dict]:
             except Exception as exc:  # cell isolation: keep partial results
                 failures.append(_failure_record(cell, exc))
     return rows, summarize(rows, config, failures)
-
-
-def _collect(outcomes: Iterable) -> list:
-    collected = []
-    iterator = iter(outcomes)
-    while True:
-        try:
-            collected.append(next(iterator))
-        except StopIteration:
-            return collected
-        except Exception as exc:
-            collected.append(exc)
 
 
 def _failure_record(cell: tuple, exc: Exception) -> dict:
@@ -448,7 +436,7 @@ def run_runtime_study(
 
     Each (method, n) cell reports the best of ``repeats`` runs on the
     same series.  "op-unpruned" is the optimal-partitioning baseline
-    without pruning, a clean quadratic reference.
+    with ``prune=False``, a clean quadratic reference.
     """
     rows: list[RuntimeRow] = []
     for n in lengths:

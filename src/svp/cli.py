@@ -1,6 +1,6 @@
 """Command-line front end: detect, simulate, bench.
 
-Exit codes: 0 success, 2 unreadable input, 3 non-numeric data,
+Exit codes: 0 success, 2 unreadable input, 3 non-numeric or non-finite data,
 4 invalid flag combination or configuration, 5 benchmark cell failure.
 Every detection can emit a manifest that replays to identical output.
 """
@@ -85,8 +85,8 @@ def _read_series_csv(path: str, column: Optional[str]) -> list[float]:
             value = float(text)
         except ValueError:
             raise _CliError(EXIT_BAD_DATA, f"non-numeric cell {cell!r}")
-        if math.isnan(value):
-            raise _CliError(EXIT_BAD_DATA, "NaN cells are a hard error")
+        if not math.isfinite(value):
+            raise _CliError(EXIT_BAD_DATA, f"non-finite cell {cell!r}")
         return value
 
     def is_number(cell: str) -> bool:
@@ -181,12 +181,7 @@ def cmd_detect(args) -> int:
     try:
         model = CostModel(kind=_COST_ALIASES[args.cost], x=args.quantile_x)
         test = ValidityTest(kind=_TEST_ALIASES[args.test], gamma=gamma, sticky=args.sticky)
-        pruning = {"sticky_validity"}
-        if args.pelt_rule:
-            pruning.add("pelt_rule")
-        config = EngineConfig(
-            cost=model, test=test, min_seg_len=args.min_seg_len, pruning=frozenset(pruning)
-        )
+        config = EngineConfig(cost=model, test=test, min_seg_len=args.min_seg_len)
         result = svp_run(series, config)
     except SvpError as exc:
         raise _CliError(EXIT_BAD_FLAGS, str(exc))
@@ -227,7 +222,6 @@ def cmd_detect(args) -> int:
                 "gamma": gamma,
                 "gamma_rule": gamma_rule,
                 "min_seg_len": args.min_seg_len,
-                "pruning": sorted(pruning),
                 "standardize": args.standardize,
                 "mad_diff_scale": scale,
             },
@@ -408,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--sticky", dest="sticky", action="store_true", default=True)
     det.add_argument("--no-sticky", dest="sticky", action="store_false")
     det.add_argument("--min-seg-len", type=int, default=1)
-    det.add_argument("--pelt-rule", action="store_true", help="enable the same-count cost pruning rule")
     det.add_argument("--standardize", choices=["mad-diff"], default=None)
     det.add_argument("--out", default=None, help="output JSON path (default stdout)")
     det.add_argument("--points-csv", default=None, help="optional per-point CSV path")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,10 +48,6 @@ class BiPoint(NamedTuple):
     k: float
     q: float
 
-    def extend(self, segment_cost: float) -> "BiPoint":
-        """Append one segment of the given cost."""
-        return BiPoint(self.k + 1, self.q + segment_cost)
-
     @property
     def is_finite(self) -> bool:
         return self.k != math.inf
@@ -59,14 +55,6 @@ class BiPoint(NamedTuple):
 
 ZERO_BIPOINT = BiPoint(0, 0.0)
 INF_BIPOINT = BiPoint(math.inf, math.inf)
-
-
-def lex_min(candidates: Iterable[BiPoint]) -> BiPoint:
-    """Lexicographic minimum of a finite collection of bi-points.
-
-    The minimum of the empty collection is the infinite sentinel.
-    """
-    return min(candidates, default=INF_BIPOINT)
 
 
 @dataclass(frozen=True)
@@ -99,14 +87,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    def segment_sum(self, a: int, b: int) -> float:
-        return float(self.cumsum[b] - self.cumsum[a])
-
-    def segment_mean(self, a: int, b: int) -> float:
-        if b <= a:
-            raise InvalidRangeError(f"empty segment ({a}, {b}]")
-        return float(self.cumsum[b] - self.cumsum[a]) / (b - a)
 
 
 @dataclass(frozen=True)

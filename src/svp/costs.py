@@ -115,27 +115,3 @@ def make_cost_fn(series: TimeSeries, model: CostModel) -> Callable[[int, int], f
         return lambda a, b: mad_cost(series, a, b)
     return lambda a, b: quantile_cost(series, a, b, model.x)
 
-
-def passes_subadditivity_suite(
-    model: CostModel, trials: int = 200, n: int = 40, seed: int = 20240 + 11
-) -> bool:
-    """Randomized check of C(s..u) >= C(s..t) + C(t..u).
-
-    This is the inequality the PELT-style pruning rule leans on; pruning
-    is only enabled for cost models that pass.  Uses nonnegative data so
-    the poisson cost is in-domain.
-    """
-    rng = np.random.default_rng(seed)
-    tol = 1e-9
-    for _ in range(trials):
-        vals = rng.normal(loc=2.0, scale=1.0, size=n)
-        vals = np.abs(vals) + rng.integers(0, 3, size=n)
-        series = TimeSeries.from_values(vals)
-        s, t, u = sorted(rng.choice(n + 1, size=3, replace=False))
-        if not (s < t < u):
-            continue
-        whole = cost(series, s, u, model)
-        parts = cost(series, s, t, model) + cost(series, t, u, model)
-        if whole < parts - tol * max(1.0, abs(whole)):
-            return False
-    return True

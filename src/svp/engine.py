@@ -1,25 +1,23 @@
 """Exact segmentation solvers.
 
 ``svp_run`` minimizes (segment count, total cost) lexicographically over
-all partitions whose every segment passes the validity test.  Two
-runners produce identical output: a literal reference loop (used when no
-pruning is requested) and a bucketed lazy runner that groups candidate
-last-change indices by their segment count, consults cheap groups first
-and catches frozen validity states up only on demand.  With a stable
-test the lazy runner touches one small group per step, which is what
-makes the incremental-GLR configuration scale near-linearly on
-change-free data.
+all partitions whose every segment passes the validity test.  Candidate
+last-change indices are grouped by their segment count; each step
+consults the group with the fewest segments first and catches frozen
+validity states up only on demand.  With a stable test, invalid
+candidates are dropped for good, so the runner touches one small group
+per step, which is what makes the incremental-GLR configuration scale
+near-linearly on change-free data.
 
-``op_pelt_run`` is the penalized optimal-partitioning baseline with the
-classic inequality pruning.
+``op_pelt_run`` is the penalized optimal-partitioning baseline; its
+``prune`` flag applies the classic PELT inequality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     INF_BIPOINT,
@@ -32,136 +30,43 @@ from .core import (
     TimeSeries,
     backtrack,
 )
-from .costs import CostModel, make_cost_fn, passes_subadditivity_suite
+from .costs import CostModel, make_cost_fn
 from .validity import ValidityTest, is_segment_valid
-
-PRUNING_RULES = frozenset({"sticky_validity", "pelt_rule"})
-DEFAULT_PRUNING = frozenset({"sticky_validity"})
 
 StatTrace = Callable[[int, int, float], None]
 
 
-@lru_cache(maxsize=None)
-def _cost_supports_pelt(kind: str, x: float) -> bool:
-    return passes_subadditivity_suite(CostModel(kind, x))
-
-
 @dataclass(frozen=True)
 class EngineConfig:
-    """Cost, validity test and pruning switches for one solver run."""
+    """Cost, validity test and minimum segment length for one solver run."""
 
     cost: CostModel
     test: ValidityTest
     min_seg_len: int = 1
-    pruning: frozenset = DEFAULT_PRUNING
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pruning", frozenset(self.pruning))
-        unknown = self.pruning - PRUNING_RULES
-        if unknown:
-            raise ConfigError(f"unknown pruning rules {sorted(unknown)}")
         if self.min_seg_len < 1:
             raise ConfigError("min_seg_len must be at least 1")
-        if "pelt_rule" in self.pruning:
-            # The same-count inequality can only drop a candidate safely if
-            # every left extension of an invalid segment stays invalid.
-            # Sticky wrapping latches right extensions only, and with it the
-            # rule provably changes outputs (a pruned start can win later
-            # once its blocking rival trips), so it does not qualify.
-            if not self.test.gamma_inverse_stable:
-                raise ConfigError(
-                    "pelt_rule needs a validity test that is stable under left "
-                    "extension (the range test qualifies; sticky wrapping does not)"
-                )
-            if not _cost_supports_pelt(self.cost.kind, self.cost.x):
-                raise ConfigError(
-                    f"pelt_rule disabled for the {self.cost.kind!r} cost: "
-                    "it fails the split-subadditivity suite"
-                )
-
-    @property
-    def gamma(self) -> float:
-        return self.test.gamma
 
 
 class Candidate:
-    """A live last-change index: its DP value and its validity state."""
+    """A live last-change index: its DP cost and its validity state."""
 
-    __slots__ = ("s", "k", "q", "state", "dead")
+    __slots__ = ("s", "q", "state", "dead")
 
-    def __init__(self, s: int, r_s: BiPoint, state) -> None:
+    def __init__(self, s: int, q: float, state) -> None:
         self.s = s
-        self.k = r_s.k
-        self.q = r_s.q
+        self.q = q
         self.state = state
         self.dead = False
 
-    @property
-    def r_s(self) -> BiPoint:
-        return BiPoint(self.k, self.q)
-
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Candidate(s={self.s}, k={self.k}, q={self.q:g}, dead={self.dead})"
+        return f"Candidate(s={self.s}, q={self.q:g}, dead={self.dead})"
 
 
 class SvpResult(NamedTuple):
     table: DpTable
     segmentation: Segmentation
-
-
-def dp_step(
-    t: int, candidates: Sequence[Candidate], series: TimeSeries, config: EngineConfig
-) -> tuple[BiPoint, int]:
-    """One DP update from candidates whose statistics are current at ``t``.
-
-    Scans segment-count groups in increasing order and returns the cost
-    minimum of the first group containing a valid candidate, which equals
-    the ungrouped lexicographic minimum.  Cost ties go to the latest
-    start index.
-    """
-    groups: dict[int, list[Candidate]] = {}
-    for c in candidates:
-        if not c.dead:
-            groups.setdefault(c.k, []).append(c)
-    cost_fn = make_cost_fn(series, config.cost)
-    for k in sorted(groups):
-        best_q: Optional[float] = None
-        best_s = 0
-        for c in groups[k]:
-            if t - c.s < config.min_seg_len or not c.state.is_valid:
-                continue
-            q = c.q + cost_fn(c.s, t)
-            if best_q is None or q < best_q or (q == best_q and c.s > best_s):
-                best_q, best_s = q, c.s
-        if best_q is not None:
-            return BiPoint(k + 1, best_q), best_s
-    return INF_BIPOINT, 0
-
-
-def prune_candidates(
-    candidates: Sequence[Candidate],
-    t: int,
-    r_t: BiPoint,
-    series: TimeSeries,
-    config: EngineConfig,
-) -> list[Candidate]:
-    """Drop candidates removed by the enabled pruning rules at time ``t``.
-
-    Sticky pruning drops tripped (or stably invalid) candidates; the
-    PELT-style rule drops same-count candidates whose cost through ``t``
-    already exceeds the new optimum.  Removal is permanent.
-    """
-    sticky_on = "sticky_validity" in config.pruning and config.test.gamma_stable
-    pelt_on = "pelt_rule" in config.pruning and r_t.is_finite
-    cost_fn = make_cost_fn(series, config.cost)
-    kept: list[Candidate] = []
-    for c in candidates:
-        if sticky_on and not c.state.is_valid:
-            continue
-        if pelt_on and c.s < t and c.k == r_t.k and c.q + cost_fn(c.s, t) > r_t.q:
-            continue
-        kept.append(c)
-    return kept
 
 
 def svp_run(
@@ -170,18 +75,14 @@ def svp_run(
     """Solve the smallest-valid-partitioning problem exactly.
 
     The table satisfies r[t] = lexicographic minimum of r[s] extended by
-    one valid segment (s, t], with r[0] = (0, 0); the segmentation
-    attains r[n].  An empty pruning set selects the literal reference
-    loop, any pruning flag selects the lazy bucketed runner; outputs are
-    identical.
+    one valid segment (s, t] of length at least ``min_seg_len``, with
+    r[0] = (0, 0); cost ties go to the latest start s.  The segmentation
+    attains r[n].
 
     ``stat_trace(s, t, value)`` is called for every validity statistic
     the run evaluates, which supports exactness audits.
     """
-    if config.pruning:
-        r, slink = _run_lazy(series, config, stat_trace)
-    else:
-        r, slink = _run_reference(series, config, stat_trace)
+    r, slink = _run_lazy(series, config, stat_trace)
     n = len(series)
     if not r[n].is_finite:
         raise InfeasiblePartitionError(
@@ -190,30 +91,6 @@ def svp_run(
         )
     table = DpTable(r=tuple(r), s=tuple(slink))
     return SvpResult(table=table, segmentation=backtrack(table))
-
-
-def _run_reference(
-    series: TimeSeries, config: EngineConfig, trace: Optional[StatTrace]
-) -> tuple[list[BiPoint], list[int]]:
-    """Literal translation of the dynamic program, no candidate removal."""
-    n = len(series)
-    values = series.values.tolist()
-    test = config.test
-    r: list[BiPoint] = [ZERO_BIPOINT]
-    slink: list[int] = [0]
-    candidates: list[Candidate] = [Candidate(0, ZERO_BIPOINT, test.new_state(0))]
-    for t in range(1, n + 1):
-        v = values[t - 1]
-        for c in candidates:
-            c.state.feed(v)
-            if trace is not None:
-                trace(c.s, t, c.state.statistic)
-        r_t, s_t = dp_step(t, candidates, series, config)
-        r.append(r_t)
-        slink.append(s_t)
-        if r_t.is_finite:
-            candidates.append(Candidate(t, r_t, test.new_state(t)))
-    return r, slink
 
 
 def _run_lazy(
@@ -231,13 +108,12 @@ def _run_lazy(
     values = series.values.tolist()
     test = config.test
     sticky = test.sticky
-    remove_invalid = test.gamma_stable and "sticky_validity" in config.pruning
-    pelt_on = "pelt_rule" in config.pruning
+    remove_invalid = test.gamma_stable
     min_len = config.min_seg_len
     cost_fn = make_cost_fn(series, config.cost)
     r: list[BiPoint] = [ZERO_BIPOINT]
     slink: list[int] = [0]
-    buckets: dict[int, list[Candidate]] = {0: [Candidate(0, ZERO_BIPOINT, test.new_state(0))]}
+    buckets: dict[int, list[Candidate]] = {0: [Candidate(0, 0.0, test.new_state(0))]}
 
     for t in range(1, n + 1):
         found: Optional[tuple[BiPoint, int]] = None
@@ -286,11 +162,7 @@ def _run_lazy(
         r_t, s_t = found
         r.append(r_t)
         slink.append(s_t)
-        if pelt_on:
-            for c in buckets.get(r_t.k, ()):
-                if not c.dead and c.s < t and c.q + cost_fn(c.s, t) > r_t.q:
-                    c.dead = True
-        buckets.setdefault(r_t.k, []).append(Candidate(t, r_t, test.new_state(t)))
+        buckets.setdefault(r_t.k, []).append(Candidate(t, r_t.q, test.new_state(t)))
     return r, slink
 
 

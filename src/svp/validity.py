@@ -50,15 +50,6 @@ class ValidityTest:
         """True when invalid segments stay invalid under right extension."""
         return self.sticky or self.kind == "range"
 
-    @property
-    def gamma_inverse_stable(self) -> bool:
-        """True when invalid segments stay invalid under left extension.
-
-        The range statistic grows in both directions; the sticky wrapper
-        only latches right extensions, so it does not qualify.
-        """
-        return self.kind == "range"
-
     def new_state(self, start: int) -> "ValidityState":
         cls = _STATE_CLASSES[self.kind]
         return cls(self, start)
@@ -82,11 +73,6 @@ class ValidityState:
         self.tripped = False
         self._stat = 0.0
         self._stale = False
-
-    def push(self, value: float) -> float:
-        """Extend the segment and return the updated statistic."""
-        self.feed(value)
-        return self.statistic
 
     def feed(self, value: float) -> None:
         self.length += 1

@@ -2,13 +2,19 @@
 
 Everything here is written from the definitions with plain Python loops
 and avoids the library's computational paths (cumulative sums,
-incremental states, vectorized scans), so agreement is meaningful.
+incremental states, vectorized scans), so agreement is meaningful.  The
+one exception is ``reference_run``, which shares the library's cost and
+validity layers on purpose so that its tables can be compared bit for
+bit with the engine's.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+
+from svp import INF_BIPOINT, ZERO_BIPOINT, BiPoint, DpTable, SvpResult, backtrack
+from svp.costs import make_cost_fn
 
 
 def naive_cost(values, a, b, kind, x=0.0):
@@ -176,3 +182,35 @@ def brute_force_op(values, cost_kind, penalty, x=0.0):
             best = total
             best_bounds = bounds
     return best, best_bounds
+
+
+def reference_run(series, config):
+    """Literal smallest-valid-partitioning DP, the oracle for ``svp_run``.
+
+    Every start s with a finite r[s] keeps a validity state fed one value
+    per step, and no start is ever dropped.  r[t] is the lexicographic
+    minimum of (r[s].k + 1, r[s].q + C(s, t), -s) over valid s with
+    t - s >= min_seg_len, so cost ties go to the latest start.
+    """
+    cost_fn = make_cost_fn(series, config.cost)
+    values = series.values.tolist()
+    r = [ZERO_BIPOINT]
+    slink = [0]
+    states = {0: config.test.new_state(0)}
+    for t in range(1, len(values) + 1):
+        best = None
+        for s, state in states.items():
+            state.feed(values[t - 1])
+            if t - s >= config.min_seg_len and state.is_valid:
+                key = (r[s].k + 1, r[s].q + cost_fn(s, t), -s)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            r.append(INF_BIPOINT)
+            slink.append(0)
+            continue
+        r.append(BiPoint(best[0], best[1]))
+        slink.append(-best[2])
+        states[t] = config.test.new_state(t)
+    table = DpTable(r=tuple(r), s=tuple(slink))
+    return SvpResult(table=table, segmentation=backtrack(table))

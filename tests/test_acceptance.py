@@ -40,6 +40,7 @@ from oracles import (
     naive_cost,
     naive_statistic,
     naive_sticky_statistic,
+    reference_run,
 )
 
 # criterion 1 grid: three thresholds per test kind
@@ -218,36 +219,33 @@ def test_c05_tighter_threshold_never_reduces_segment_count():
 
 
 def test_c06_pruning_is_output_invariant():
-    """Maximal legal pruning gives bit-identical results to no pruning.
+    """The lazy runner's tables are bit-identical to the literal DP.
 
-    The same-count inequality rule is legal only for tests stable under
-    left extension (range here); stable tests elsewhere get the sticky
-    removal, which is their full pruning set.
+    ``svp_run`` drops invalid starts of stable tests and feeds validity
+    states only on demand; ``oracles.reference_run`` feeds every start at
+    every step and never drops one.
     """
     rng = np.random.default_rng(99)
     configs = [
-        ("range", False, 2.5, "gaussian", ("sticky_validity", "pelt_rule")),
-        ("glr_gaussian_focus", True, 4.0, "gaussian", ("sticky_validity",)),
-        ("glr_gaussian_focus", True, 4.0, "mad", ("sticky_validity",)),
-        ("wilcoxon", True, 10.0, "gaussian", ("sticky_validity",)),
+        ("range", False, 2.5, "gaussian"),
+        ("glr_gaussian_focus", True, 4.0, "gaussian"),
+        ("glr_gaussian_focus", True, 4.0, "mad"),
+        ("wilcoxon", True, 10.0, "gaussian"),
     ]
     for index in range(100):
-        kind, sticky, gamma, cost_kind, rules = configs[index % len(configs)]
+        kind, sticky, gamma, cost_kind = configs[index % len(configs)]
         n = int(rng.integers(30, 201))
         values = _mixed_series(rng, n, with_change=index % 3 != 0, jump=2.5)
         series = TimeSeries.from_values(values)
-        test = ValidityTest(kind, gamma=gamma, sticky=sticky)
-        pruned = svp_run(
-            series,
-            EngineConfig(cost=CostModel(cost_kind), test=test, pruning=frozenset(rules)),
+        config = EngineConfig(
+            cost=CostModel(cost_kind), test=ValidityTest(kind, gamma=gamma, sticky=sticky)
         )
-        unpruned = svp_run(
-            series, EngineConfig(cost=CostModel(cost_kind), test=test, pruning=frozenset())
-        )
-        assert pruned.segmentation == unpruned.segmentation, (index, kind)
-        assert pruned.table.r == unpruned.table.r, (index, kind)
-        assert pruned.table.s == unpruned.table.s, (index, kind)
-    _report(6, "100 instances, pruned and unpruned runs bit-identical")
+        lazy = svp_run(series, config)
+        reference = reference_run(series, config)
+        assert lazy.segmentation == reference.segmentation, (index, kind)
+        assert lazy.table.r == reference.table.r, (index, kind)
+        assert lazy.table.s == reference.table.s, (index, kind)
+    _report(6, "100 instances, lazy and reference tables bit-identical")
 
 
 def _f1_and_fp_at_bic(jump: float) -> tuple[float, list[int], list[int], float]:

@@ -214,24 +214,19 @@ class TestStudy:
             (r.replicate, r.f1, r.k_detected) for r in par_rows
         ]
 
-    def test_failure_marker_preserves_partial_results(self, monkeypatch):
-        import svp.bench as bench_mod
-
-        real = bench_mod.make_detector
-
-        def flaky(method, n, true_k):
-            if method == "pelt":
-                raise RuntimeError("boom")
-            return real(method, n, true_k)
-
-        monkeypatch.setattr(bench_mod, "make_detector", flaky)
-        config = StudyConfig(
-            scenarios=("none",), methods=("svp-glr", "pelt"), jumps=(1.0,), replicates=1, n=60
-        )
-        rows, summary = run_study(config)
-        assert [r.method for r in rows] == ["svp-glr"]
-        assert len(summary["failures"]) == 1
-        assert "boom" in summary["failures"][0]["error"]
+    def test_failure_marker_preserves_partial_results(self):
+        # an unknown method makes make_detector raise inside every cell of
+        # it, in the worker process too, whatever the start method is
+        for workers in (1, 2):
+            config = StudyConfig(
+                scenarios=("none",), methods=("svp-glr", "no-such-method"), jumps=(1.0,),
+                replicates=3, n=60, workers=workers,
+            )
+            rows, summary = run_study(config)
+            assert [(r.method, r.replicate) for r in rows] == [("svp-glr", i) for i in range(3)]
+            failures = summary["failures"]
+            assert [f["replicate"] for f in failures] == [0, 1, 2], workers
+            assert all("no-such-method" in f["error"] for f in failures)
 
 
 class TestSlopeFit:

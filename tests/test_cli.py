@@ -115,12 +115,13 @@ class TestDetect:
         empty_cell = tmp_path / "gap.csv"
         empty_cell.write_text("a,b\n1.0,2.0\n,3.0\n")
         assert main(["detect", "--input", str(empty_cell), "--gamma", "1"]) == 3
+        infinite = tmp_path / "inf.csv"
+        infinite.write_text("value\n1.0\ninf\n2.0\n")
+        assert main(["detect", "--input", str(infinite), "--gamma", "1"]) == 3
         good = tmp_path / "ok.csv"
         write_csv(good, [1.0, 2.0, 3.0])
         assert main(["detect", "--input", str(good)]) == 4  # no gamma at all
         assert main(["detect", "--input", str(good), "--gamma", "1", "--gamma-rule", "bic"]) == 4
-        assert main(["detect", "--input", str(good), "--gamma", "1",
-                     "--cost", "quantile", "--pelt-rule"]) == 4
         assert main(["detect", "--input", str(good), "--gamma-rule", "nonsense"]) == 4
 
     def test_gamma_rules_wilcoxon_and_mood(self, tmp_path):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import svp
 from svp import (
     INF_BIPOINT,
     BiPoint,
@@ -19,9 +20,13 @@ from svp import (
     TimeSeries,
     ValidityTest,
     backtrack,
-    lex_min,
     svp_run,
 )
+
+
+class TestPackage:
+    def test_every_export_resolves(self):
+        assert [name for name in svp.__all__ if not hasattr(svp, name)] == []
 
 
 class TestBiPoint:
@@ -38,30 +43,9 @@ class TestBiPoint:
             b = BiPoint(int(rng.integers(0, 4)), float(rng.normal()))
             assert (a < b) + (a > b) + (a == b) == 1
 
-    def test_extend_adds_componentwise(self):
-        assert BiPoint(2, 1.5).extend(0.5) == BiPoint(3, 2.0)
-
     def test_infinite_sentinel_dominates(self):
         assert BiPoint(10**9, 1e300) < INF_BIPOINT
         assert not INF_BIPOINT.is_finite
-
-
-class TestLexMin:
-    def test_examples(self):
-        assert lex_min({BiPoint(2, 9.7), BiPoint(3, 0.1), BiPoint(2, 4.2)}) == BiPoint(2, 4.2)
-        assert lex_min([]) == INF_BIPOINT
-        assert lex_min([BiPoint(1, 5.0)]) == BiPoint(1, 5.0)
-
-    def test_associative_under_union(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            pool = [
-                BiPoint(int(rng.integers(0, 5)), round(float(rng.normal()), 3))
-                for _ in range(int(rng.integers(0, 8)))
-            ]
-            cut = int(rng.integers(0, len(pool) + 1))
-            left, right = pool[:cut], pool[cut:]
-            assert lex_min(pool) == lex_min([lex_min(left), lex_min(right)])
 
 
 class TestTimeSeries:
@@ -75,11 +59,6 @@ class TestTimeSeries:
         assert np.array_equal(ts.cumsum_sq, again.cumsum_sq)
         for s in range(1, 65):
             assert ts.cumsum[s] == ts.cumsum[s - 1] + values[s - 1]
-
-    def test_segment_sum_matches_slice(self):
-        ts = TimeSeries.from_values([1.0, 2.0, 3.0, 4.0])
-        assert ts.segment_sum(1, 3) == 5.0
-        assert ts.segment_mean(0, 4) == 2.5
 
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(SvpError):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from svp import CostModel, DomainError, InvalidRangeError, TimeSeries, cost, passes_subadditivity_suite
+from svp import CostModel, DomainError, InvalidRangeError, TimeSeries, cost
 
 from oracles import naive_cost
 
@@ -88,12 +88,6 @@ class TestAgainstNaive:
 
 
 class TestProperties:
-    def test_subadditivity_witness(self):
-        assert passes_subadditivity_suite(CostModel("gaussian"))
-        assert passes_subadditivity_suite(CostModel("mad"))
-        assert passes_subadditivity_suite(CostModel("poisson"))
-        assert not passes_subadditivity_suite(CostModel("quantile", x=0.0))
-
     def test_translation_invariance(self):
         rng = np.random.default_rng(12)
         values = rng.normal(size=40)

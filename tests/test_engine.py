@@ -1,4 +1,4 @@
-"""Tests for the solvers: the exact DP, pruning and the OP baseline."""
+"""Tests for the solvers: the exact DP, candidate removal and the OP baseline."""
 
 from __future__ import annotations
 
@@ -8,24 +8,21 @@ import numpy as np
 import pytest
 
 from svp import (
+    INF_BIPOINT,
     BiPoint,
-    Candidate,
-    ConfigError,
     CostModel,
     EngineConfig,
     InfeasiblePartitionError,
     TimeSeries,
     ValidityTest,
     cost,
-    dp_step,
-    lex_min,
+    is_segment_valid,
     op_pelt_run,
-    prune_candidates,
     segmentation_is_valid,
     svp_run,
 )
 
-from oracles import brute_force_op, brute_force_svp
+from oracles import brute_force_op, brute_force_svp, reference_run
 
 
 def gaussian_config(test, **kwargs):
@@ -148,52 +145,38 @@ class TestSvpRunExamples:
 
 
 class TestDpStep:
-    def _candidate(self, s, k, q, test, series, t, valid=True):
-        c = Candidate(s, BiPoint(k, q), test.new_state(s))
-        for i in range(s, t):
-            c.state.feed(float(series.values[i]))
-        if not valid:
-            assert not c.state.is_valid
-        return c
+    """Rules of one DP step, read off the tables ``svp_run`` returns."""
 
     def test_lower_group_wins_regardless_of_cost(self):
-        ts = TimeSeries.from_values([0.0, 0.0, 0.0])
-        test = ValidityTest("range", gamma=10.0)
-        config = gaussian_config(test)
-        candidates = [
-            self._candidate(0, 0, 0.0, test, ts, 3),
-            self._candidate(1, 1, -5.0, test, ts, 3),
-        ]
-        r, s = dp_step(3, candidates, ts, config)
-        assert r.k == 1 and s == 0
+        # four single points cost 0, but one segment of cost 0.5 is fewer
+        ts = TimeSeries.from_values([0.0, 1.0, 0.0, 1.0])
+        result = svp_run(ts, gaussian_config(ValidityTest("range", gamma=10.0)))
+        assert result.table.r[-1] == BiPoint(1, 0.5)
+        assert result.segmentation.boundaries == (0, 4)
 
     def test_q_minimum_within_group_skips_invalid(self):
-        # candidate 0 invalid; candidates 1 and 2 share the group
-        ts = TimeSeries.from_values([0.0, 9.0, 9.2, 9.1])
-        test = ValidityTest("range", gamma=1.0)
-        config = gaussian_config(test)
-        candidates = [
-            self._candidate(0, 1, 0.0, test, ts, 4, valid=False),
-            self._candidate(1, 1, 7.0, test, ts, 4),
-            self._candidate(2, 1, 3.0, test, ts, 4),
-        ]
-        r, s = dp_step(4, candidates, ts, config)
-        assert s == 2
-        assert r.k == 2
-        assert r.q == pytest.approx(3.0 + cost(ts, 2, 4, config.cost))
+        # at t = 6 every start s = 1..5 ends one segment; s = 2 is the
+        # cheapest extension but (2, 6] is invalid, so s = 5 wins
+        ts = TimeSeries.from_values([5.0, 5.0, 3.0, 4.0, 3.0, 1.0])
+        test = ValidityTest("range", gamma=2.0)
+        model = CostModel("mad")
+        table = svp_run(ts, EngineConfig(cost=model, test=test)).table
+        extended = {s: table.r[s].q + cost(ts, s, 6, model) for s in range(6) if table.r[s].k == 1}
+        assert sorted(extended, key=extended.get)[:2] == [2, 5]
+        assert not is_segment_valid(ts, 2, 6, test)
+        assert table.r[6] == BiPoint(2, extended[5])
+        assert table.s[6] == 5
 
     def test_tie_breaks_to_latest_start(self):
-        ts = TimeSeries.from_values([1.0, 1.0, 1.0, 1.0])
-        test = ValidityTest("range", gamma=5.0)
-        config = gaussian_config(test)
-        candidates = [
-            self._candidate(1, 1, 2.0, test, ts, 4),
-            self._candidate(2, 1, 2.0, test, ts, 4),
-        ]
-        r, s = dp_step(4, candidates, ts, config)
-        assert s == 2
+        # (0, 1] + (1, 3] and (0, 2] + (2, 3] both cost 0.0625
+        ts = TimeSeries.from_values([0.0, 0.5, 1.0])
+        result = svp_run(ts, gaussian_config(ValidityTest("range", gamma=0.6)))
+        assert result.segmentation.boundaries == (0, 2, 3)
+        assert result.table.r[-1] == BiPoint(2, 0.0625)
 
     def test_agrees_with_ungrouped_lex_min(self):
+        # every r[t] is the plain lexicographic minimum over all valid
+        # starts, with validity rechecked by full rescans
         rng = np.random.default_rng(9)
         test = ValidityTest("range", gamma=2.2)
         config = gaussian_config(test)
@@ -201,130 +184,69 @@ class TestDpStep:
             n = int(rng.integers(4, 16))
             values = random_series(rng, n, changes=int(rng.integers(0, 2)))
             ts = TimeSeries.from_values(values)
-            t = n
-            candidates = []
-            for s in range(t):
-                k = int(rng.integers(0, 3))
-                q = round(float(rng.uniform(0, 4)), 3)
-                candidates.append(self._candidate(s, k, q, test, ts, t))
-            got_r, got_s = dp_step(t, candidates, ts, config)
-            pool = [
-                c.r_s.extend(cost(ts, c.s, t, config.cost))
-                for c in candidates
-                if c.state.is_valid
-            ]
-            assert got_r == lex_min(pool)
+            table = svp_run(ts, config).table
+            for t in range(1, n + 1):
+                best = min(
+                    (table.r[s].k + 1, table.r[s].q + cost(ts, s, t, config.cost), -s)
+                    for s in range(t)
+                    if table.r[s].is_finite and is_segment_valid(ts, s, t, test)
+                )
+                assert (table.r[t].k, table.r[t].q, -table.s[t]) == best
 
     def test_empty_candidate_set_returns_infinite(self):
-        ts = TimeSeries.from_values([1.0, 2.0])
-        config = gaussian_config(ValidityTest("range", gamma=1.0))
-        r, _ = dp_step(2, [], ts, config)
-        assert not r.is_finite
+        # no start is at least two points before t = 1
+        ts = TimeSeries.from_values([1.0, 2.0, 3.0])
+        result = svp_run(ts, gaussian_config(ValidityTest("range", gamma=5.0), min_seg_len=2))
+        assert result.table.r[1] == INF_BIPOINT
+        assert result.segmentation.boundaries == (0, 3)
 
 
 class TestPruneCandidates:
     def test_tripped_candidate_removed(self):
-        ts = TimeSeries.from_values([0.0, 10.0, 0.0])
-        test = ValidityTest("glr_gaussian_focus", gamma=1.0, sticky=True)
-        config = gaussian_config(test)
-        c = Candidate(0, BiPoint(0, 0.0), test.new_state(0))
-        for v in ts.values:
-            c.state.feed(float(v))
-        assert c.state.tripped
-        kept = prune_candidates([c], 3, BiPoint(2, 1.0), ts, config)
-        assert kept == []
-
-    def test_pelt_inequality_removes_dominated(self):
-        ts = TimeSeries.from_values([0.0, 0.0, 5.0, 5.0])
-        test = ValidityTest("range", gamma=20.0)
-        config = gaussian_config(test, pruning=frozenset({"sticky_validity", "pelt_rule"}))
-        dominated = Candidate(1, BiPoint(2, 15.0 - cost(ts, 1, 4, config.cost)), test.new_state(1))
-        survivor = Candidate(2, BiPoint(2, 1.0), test.new_state(2))
-        for c in (dominated, survivor):
-            for i in range(c.s, 4):
-                c.state.feed(float(ts.values[i]))
-        kept = prune_candidates([dominated, survivor], 4, BiPoint(2, 12.0), ts, config)
-        assert kept == [survivor]
-
-    def test_pelt_rule_requires_qualifying_cost(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(
-                cost=CostModel("quantile", x=0.0),
-                test=ValidityTest("range", gamma=1.0),
-                pruning=frozenset({"pelt_rule"}),
-            )
-
-    @pytest.mark.parametrize("sticky", [False, True])
-    def test_pelt_rule_requires_left_extension_stability(self, sticky):
-        # sticky wrapping is not enough: a pruned start can become the
-        # optimum later once the start that dominated it trips
-        with pytest.raises(ConfigError):
-            EngineConfig(
-                cost=CostModel("gaussian"),
-                test=ValidityTest("glr_gaussian_focus", gamma=1.0, sticky=sticky),
-                pruning=frozenset({"pelt_rule"}),
-            )
+        # once a start's sticky statistic passes gamma it is never fed again
+        rng = np.random.default_rng(10)
+        ts = TimeSeries.from_values(random_series(rng, 60, changes=2, jump=4.0))
+        test = ValidityTest("glr_gaussian_focus", gamma=3.0, sticky=True)
+        records = []
+        svp_run(ts, gaussian_config(test), stat_trace=lambda s, t, v: records.append((s, t, v)))
+        tripped_at = {}
+        for s, t, value in records:
+            assert s not in tripped_at, (s, t, tripped_at.get(s))
+            if value > test.gamma:
+                tripped_at[s] = t
+        assert tripped_at
 
 
 class TestPruningDifferential:
     @pytest.mark.parametrize(
-        "kind,sticky,gamma,cost_kind,rules",
+        "kind,sticky,gamma,cost_kind,min_seg_len",
         [
-            ("range", False, 2.5, "gaussian", ("sticky_validity", "pelt_rule")),
-            ("range", False, 3.5, "mad", ("sticky_validity", "pelt_rule")),
-            ("glr_gaussian_focus", True, 4.0, "gaussian", ("sticky_validity",)),
-            ("wilcoxon", True, 8.0, "mad", ("sticky_validity",)),
+            ("range", False, 2.5, "gaussian", 1),
+            ("range", False, 3.5, "mad", 1),
+            ("glr_gaussian_focus", True, 4.0, "gaussian", 1),
+            ("wilcoxon", True, 8.0, "mad", 1),
+            ("glr_gaussian_focus", False, 4.0, "gaussian", 1),
+            ("mood", False, 5.0, "mad", 1),
+            ("glr_gaussian_focus", True, 6.0, "gaussian", 3),
+            ("wilcoxon", True, 8.0, "mad", 2),
         ],
     )
-    def test_maximal_pruning_matches_reference(self, kind, sticky, gamma, cost_kind, rules):
+    def test_maximal_pruning_matches_reference(self, kind, sticky, gamma, cost_kind, min_seg_len):
         rng = np.random.default_rng(11)
-        test = ValidityTest(kind, gamma=gamma, sticky=sticky)
+        config = EngineConfig(
+            cost=CostModel(cost_kind),
+            test=ValidityTest(kind, gamma=gamma, sticky=sticky),
+            min_seg_len=min_seg_len,
+        )
         for _ in range(12):
             n = int(rng.integers(20, 60))
             values = random_series(rng, n, changes=int(rng.integers(0, 3)))
             ts = TimeSeries.from_values(values)
-            pruned = svp_run(
-                ts,
-                EngineConfig(cost=CostModel(cost_kind), test=test, pruning=frozenset(rules)),
-            )
-            reference = svp_run(
-                ts, EngineConfig(cost=CostModel(cost_kind), test=test, pruning=frozenset())
-            )
-            assert pruned.segmentation == reference.segmentation
-            assert pruned.table.r == reference.table.r
-            assert pruned.table.s == reference.table.s
-
-    def test_pelt_rule_with_sticky_glr_changes_outputs(self):
-        # the concrete reason the combination is rejected: replaying it via
-        # the internal runner on random step data eventually disagrees with
-        # the reference, because the rule's proof needs left-extension
-        # stability that sticky wrapping lacks
-        from types import SimpleNamespace
-
-        from svp.engine import _run_lazy
-
-        rng = np.random.default_rng(99)
-        test = ValidityTest("glr_gaussian_focus", gamma=4.0, sticky=True)
-        disagreements = 0
-        for index in range(60):
-            n = int(rng.integers(30, 201))
-            values = rng.normal(size=n)
-            if index % 3 != 0:
-                values[n // 2 :] += 2.5
-            ts = TimeSeries.from_values(values)
-            forced = SimpleNamespace(
-                cost=CostModel("mad"),
-                test=test,
-                min_seg_len=1,
-                pruning=frozenset({"sticky_validity", "pelt_rule"}),
-            )
-            r_forced, _ = _run_lazy(ts, forced, None)
-            reference = svp_run(
-                ts, EngineConfig(cost=CostModel("mad"), test=test, pruning=frozenset())
-            )
-            if tuple(r_forced) != reference.table.r:
-                disagreements += 1
-        assert disagreements > 0
+            lazy = svp_run(ts, config)
+            reference = reference_run(ts, config)
+            assert lazy.segmentation == reference.segmentation
+            assert lazy.table.r == reference.table.r
+            assert lazy.table.s == reference.table.s
 
 
 class TestMonotonicity:

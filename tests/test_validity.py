@@ -31,6 +31,12 @@ from oracles import (
 )
 
 
+def feed_and_read(state, value):
+    """Extend the state's segment by one value and return its statistic."""
+    state.feed(value)
+    return state.statistic
+
+
 class TestScanExamples:
     def test_glr_step_pair(self):
         ts = TimeSeries.from_values([0.0, 0.0, 1.0, 1.0])
@@ -76,36 +82,36 @@ class TestStateExamples:
 
     def test_range_single_point(self):
         state = ValidityTest("range", gamma=1.0).new_state(0)
-        assert state.push(3.0) == 0.0
+        assert feed_and_read(state, 3.0) == 0.0
 
     def test_wilcoxon_tied_pair(self):
         state = ValidityTest("wilcoxon", gamma=5.0).new_state(2)
-        state.push(1.0)
-        assert state.push(1.0) == pytest.approx(0.5)
+        state.feed(1.0)
+        assert feed_and_read(state, 1.0) == pytest.approx(0.5)
 
     def test_glr_push_sequence(self):
         state = ValidityTest("glr_gaussian_focus", gamma=10.0).new_state(0)
         for v in (0.0, 0.0, 1.0):
-            state.push(v)
-        assert state.push(1.0) == pytest.approx(0.5)
+            state.feed(v)
+        assert feed_and_read(state, 1.0) == pytest.approx(0.5)
 
     def test_wilcoxon_push_sequence(self):
         state = ValidityTest("wilcoxon", gamma=10.0).new_state(0)
         for v in (1.0, 2.0, 3.0):
-            state.push(v)
-        assert state.push(4.0) == pytest.approx(2.0)
+            state.feed(v)
+        assert feed_and_read(state, 4.0) == pytest.approx(2.0)
 
     def test_mood_push_sequence(self):
         state = ValidityTest("mood", gamma=10.0).new_state(0)
         for v in (1.0, 1.0, 5.0):
-            state.push(v)
-        assert state.push(5.0) == pytest.approx(4.0)
+            state.feed(v)
+        assert feed_and_read(state, 5.0) == pytest.approx(4.0)
 
     def test_range_push_sequence(self):
         state = ValidityTest("range", gamma=100.0).new_state(0)
         for v in (0.0, 0.0):
-            state.push(v)
-        assert state.push(10.0) == pytest.approx(10.0)
+            state.feed(v)
+        assert feed_and_read(state, 10.0) == pytest.approx(10.0)
 
 
 class TestExactness:
@@ -129,7 +135,7 @@ class TestExactness:
         state = ValidityTest(kind, gamma=1e18).new_state(0)
         ts = TimeSeries.from_values(values)
         for number, value in enumerate(values, start=1):
-            got = state.push(float(value))
+            got = feed_and_read(state, float(value))
             want = segment_statistic(ts, 0, number, kind)
             if tol == 0.0:
                 assert got == want, f"{kind} diverges at length {number}"
@@ -165,7 +171,7 @@ class TestExactness:
         state = ValidityTest("glr_gaussian_focus", gamma=1e18).new_state(0)
         worst = 0.0
         for number, value in enumerate(values, start=1):
-            got = state.push(float(value))
+            got = feed_and_read(state, float(value))
             want = glr_scan_naive(ts, 0, number)
             worst = max(worst, abs(got - want))
         assert worst <= 1e-9
@@ -189,12 +195,12 @@ class TestStability:
         test = ValidityTest("glr_gaussian_focus", gamma=0.4, sticky=True)
         state = test.new_state(0)
         for v in (0.0, 0.0, 5.0):
-            state.push(v)
+            state.feed(v)
         assert state.tripped
         assert not state.is_valid
         # extensions that would look fine on their own stay invalid
         for v in (5.0,) * 20:
-            state.push(v)
+            state.feed(v)
         assert state.tripped and not state.is_valid
 
     def test_range_natively_stable(self):
@@ -203,7 +209,7 @@ class TestStability:
         state = ValidityTest("range", gamma=1.0).new_state(0)
         previous = 0.0
         for v in values:
-            current = state.push(float(v))
+            current = feed_and_read(state, float(v))
             assert current >= previous
             previous = current
 
