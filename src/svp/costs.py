@@ -2,7 +2,9 @@
 
 Gaussian and Poisson costs are evaluated in constant time from the
 precomputed cumulative statistics; MAD and quantile costs sort the
-segment on every call.
+segment on every call.  The Poisson domain (nonnegative values) is
+checked per segment by ``poisson_cost`` and ``cost``, and once per series
+when ``make_cost_fn`` binds the Poisson closure, which then skips it.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ def make_cost_fn(series: TimeSeries, model: CostModel) -> Callable[[int, int], f
 
     The gaussian and poisson closures work on plain Python floats pulled
     from the cumulative arrays; results are bit-identical to cost().
+    Raises ``DomainError`` for a poisson model if any value is negative.
     """
     if model.kind == "gaussian":
         cs = series.cumsum.tolist()
@@ -110,7 +113,17 @@ def make_cost_fn(series: TimeSeries, model: CostModel) -> Callable[[int, int], f
 
         return gauss
     if model.kind == "poisson":
-        return lambda a, b: poisson_cost(series, a, b)
+        if float(np.min(series.values)) < 0.0:
+            raise DomainError("poisson cost requires nonnegative values")
+        cs = series.cumsum.tolist()
+
+        def poisson(a: int, b: int) -> float:
+            mean = (cs[b] - cs[a]) / (b - a)
+            if mean == 0.0:
+                return 0.0
+            return (b - a) * mean * (1.0 - math.log(mean))
+
+        return poisson
     if model.kind == "mad":
         return lambda a, b: mad_cost(series, a, b)
     return lambda a, b: quantile_cost(series, a, b, model.x)

@@ -2,12 +2,16 @@
 
 ``svp_run`` minimizes (segment count, total cost) lexicographically over
 all partitions whose every segment passes the validity test.  Candidate
-last-change indices are grouped by their segment count; each step
-consults the group with the fewest segments first and catches frozen
-validity states up only on demand.  With a stable test, invalid
-candidates are dropped for good, so the runner touches one small group
-per step, which is what makes the incremental-GLR configuration scale
-near-linearly on change-free data.
+last-change indices (starts) are grouped by their segment count, each
+group held as parallel lists of starts, DP costs and validity states.
+Each step consults the group with the fewest segments first, in order
+of extended cost; for a gaussian cost and a large group that order comes
+from one numpy expression.  A start's validity state is created when a
+scan first reaches it and caught up only on demand, by one
+``ValidityState.catch_up`` call over the values it missed.  With a
+stable test, starts the scan finds invalid are dropped for good, so the
+runner touches one small group per step, which is what makes the
+incremental-GLR configuration scale near-linearly on change-free data.
 
 ``op_pelt_run`` is the penalized optimal-partitioning baseline; its
 ``prune`` flag applies the classic PELT inequality.
@@ -16,8 +20,11 @@ near-linearly on change-free data.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from .core import (
     INF_BIPOINT,
@@ -49,19 +56,38 @@ class EngineConfig:
             raise ConfigError("min_seg_len must be at least 1")
 
 
-class Candidate:
-    """A live last-change index: its DP cost and its validity state."""
+# Above this many eligible starts a gaussian group scan costs and orders
+# them with numpy; below it numpy's per-call overhead loses to the scalar
+# closure and a Python sort (measured crossover: 48 to 64 starts).
+_ARRAY_SCAN_MIN = 48
 
-    __slots__ = ("s", "q", "state", "dead")
 
-    def __init__(self, s: int, q: float, state) -> None:
-        self.s = s
-        self.q = q
-        self.state = state
-        self.dead = False
+class _Group:
+    """Starts with one segment count: parallel lists, increasing ``s``.
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Candidate(s={self.s}, q={self.q:g}, dead={self.dead})"
+    ``state[i]`` is None until a scan first reaches start ``s[i]``.
+    ``arrays`` caches ``(s, -s, q)`` as numpy arrays for the vectorized
+    scan and is cleared whenever the lists change.
+    """
+
+    __slots__ = ("s", "q", "state", "arrays")
+
+    def __init__(self, s: int, q: float) -> None:
+        self.s = [s]
+        self.q = [q]
+        self.state: list = [None]
+        self.arrays: Optional[tuple] = None
+
+    def add(self, s: int, q: float) -> None:
+        self.s.append(s)
+        self.q.append(q)
+        self.state.append(None)
+        self.arrays = None
+
+    def drop(self, indices: list[int]) -> None:
+        for i in sorted(indices, reverse=True):
+            del self.s[i], self.q[i], self.state[i]
+        self.arrays = None
 
 
 class SvpResult(NamedTuple):
@@ -82,8 +108,12 @@ def svp_run(
     ``stat_trace(s, t, value)`` is called for every validity statistic
     the run evaluates, which supports exactness audits.
     """
-    r, slink = _run_lazy(series, config, stat_trace)
     n = len(series)
+    if config.min_seg_len > n:
+        raise InfeasiblePartitionError(
+            f"min_seg_len {config.min_seg_len} exceeds the series length {n}"
+        )
+    r, slink = _run_lazy(series, config, stat_trace)
     if not r[n].is_finite:
         raise InfeasiblePartitionError(
             "no partition satisfies the validity constraint; "
@@ -96,63 +126,87 @@ def svp_run(
 def _run_lazy(
     series: TimeSeries, config: EngineConfig, trace: Optional[StatTrace]
 ) -> tuple[list[BiPoint], list[int]]:
-    """Bucketed runner: consult candidates grouped by segment count.
+    """Bucketed runner: consult starts grouped by segment count.
 
-    States of unconsulted candidates stay frozen and are replayed from
-    their own buffers when their group is first needed, so the per-step
-    work tracks the active group instead of the whole candidate set.
-    Within a group, candidates are tried in increasing extended cost and
-    the scan stops at the first valid one, which is the group optimum.
+    Each group keeps parallel lists of starts ``s`` (increasing), DP
+    costs ``q`` and validity states.  A start's state is created the
+    first time a scan reaches it, and states of unconsulted starts stay
+    frozen until then: ``catch_up`` replays the values they missed, so
+    the per-step work tracks the consulted starts instead of the whole
+    candidate set.  Within a group, starts are tried in increasing
+    extended cost ``q + C(s, t)`` (ties to the latest start) and the scan
+    stops at the first valid one, which is the group optimum.  Starts the
+    scan finds invalid under a stable test are deleted from their group
+    right after that scan.  For a gaussian cost and a group of more than
+    ``_ARRAY_SCAN_MIN`` eligible starts, the extended costs and their
+    order come from one numpy expression over arrays cached until the
+    group changes; it rounds exactly like the scalar cost closure.
     """
     n = len(series)
     values = series.values.tolist()
     test = config.test
+    new_state = test.new_state
     sticky = test.sticky
-    remove_invalid = test.gamma_stable
+    kill = test.gamma_stable
+    feed_trace = trace if sticky else None
     min_len = config.min_seg_len
     cost_fn = make_cost_fn(series, config.cost)
+    vectorize = config.cost.kind == "gaussian"
+    cs = series.cumsum
+    css = series.cumsum_sq
     r: list[BiPoint] = [ZERO_BIPOINT]
     slink: list[int] = [0]
-    buckets: dict[int, list[Candidate]] = {0: [Candidate(0, 0.0, test.new_state(0))]}
+    groups: dict[int, _Group] = {0: _Group(0, 0.0)}
 
     for t in range(1, n + 1):
         found: Optional[tuple[BiPoint, int]] = None
-        for k in sorted(buckets):
-            blist = buckets[k]
-            alive: list[Candidate] = []
-            order: list[tuple[float, int, Candidate]] = []
-            for c in blist:
-                if c.dead:
-                    continue
-                alive.append(c)
-                if t - c.s >= min_len:
-                    order.append((c.q + cost_fn(c.s, t), -c.s, c))
-            if len(alive) != len(blist):
-                if alive:
-                    buckets[k] = alive
-                else:
-                    del buckets[k]
-            if not order:
+        for k in sorted(groups):
+            group = groups[k]
+            starts = group.s
+            q = group.q
+            m = len(starts) if min_len == 1 else bisect_right(starts, t - min_len)
+            if m == 0:
                 continue
-            order.sort()
-            for q_total, _, c in order:
-                state = c.state
-                while state.length < t - c.s:
-                    state.feed(values[c.s + state.length])
-                    if trace is not None and sticky:
-                        trace(c.s, c.s + state.length, state.statistic)
-                    if remove_invalid and not state.is_valid:
-                        c.dead = True
-                        break
-                if c.dead:
+            if m == 1:
+                # on change-free data every step consults a single start
+                order = [0]
+                q_total = [q[0] + cost_fn(starts[0], t)]
+            elif vectorize and m > _ARRAY_SCAN_MIN:
+                if group.arrays is None:
+                    s_arr = np.array(starts)
+                    group.arrays = (s_arr, -s_arr, np.array(q))
+                s_arr, neg_s, q_arr = group.arrays
+                s_arr, neg_s, q_arr = s_arr[:m], neg_s[:m], q_arr[:m]
+                d = cs[t] - cs[s_arr]
+                c = 0.5 * ((css[t] - css[s_arr]) - d * d / (t - s_arr))
+                q_total = np.where(c > 0.0, c, 0.0) + q_arr
+                order = np.lexsort((neg_s, q_total)).tolist()
+            else:
+                q_total = [q[i] + cost_fn(starts[i], t) for i in range(m)]
+                # A stable sort of the indices in decreasing order puts
+                # cost ties at the latest start.
+                order = sorted(range(m - 1, -1, -1), key=q_total.__getitem__)
+            states = group.state
+            dead: list[int] = []
+            for i in order:
+                s = starts[i]
+                state = states[i]
+                if state is None:
+                    state = states[i] = new_state(s)
+                if not state.catch_up(values, s, t, feed_trace, kill):
+                    dead.append(i)
                     continue
                 if trace is not None and not sticky:
-                    trace(c.s, t, state.statistic)
+                    trace(s, t, state.statistic)
                 if state.is_valid:
-                    found = (BiPoint(k + 1, q_total), c.s)
+                    found = (BiPoint(k + 1, float(q_total[i])), s)
                     break
-                if remove_invalid:
-                    c.dead = True
+                if kill:
+                    dead.append(i)
+            if dead:
+                group.drop(dead)
+                if not starts:
+                    del groups[k]
             if found is not None:
                 break
         if found is None:
@@ -162,7 +216,11 @@ def _run_lazy(
         r_t, s_t = found
         r.append(r_t)
         slink.append(s_t)
-        buckets.setdefault(r_t.k, []).append(Candidate(t, r_t.q, test.new_state(t)))
+        group = groups.get(r_t.k)
+        if group is None:
+            groups[r_t.k] = _Group(t, r_t.q)
+        else:
+            group.add(t, r_t.q)
     return r, slink
 
 

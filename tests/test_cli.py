@@ -123,6 +123,17 @@ class TestDetect:
         assert main(["detect", "--input", str(good)]) == 4  # no gamma at all
         assert main(["detect", "--input", str(good), "--gamma", "1", "--gamma-rule", "bic"]) == 4
         assert main(["detect", "--input", str(good), "--gamma-rule", "nonsense"]) == 4
+        out = str(tmp_path / "out.json")
+        single = tmp_path / "one.csv"
+        write_csv(single, [2.5])
+        assert main(["detect", "--input", str(single), "--gamma", "1", "--out", out]) == 0
+        flat = tmp_path / "flat.csv"
+        write_csv(flat, [3.0] * 50)
+        assert main(["detect", "--input", str(flat), "--test", "glr", "--gamma-rule", "bic",
+                     "--out", out]) == 0
+        assert main(["detect", "--input", str(good), "--gamma", "1", "--min-seg-len", "4",
+                     "--out", out]) == 4
+        assert main(["detect", "--input", str(good), "--gamma", "-1", "--out", out]) == 4
 
     def test_gamma_rules_wilcoxon_and_mood(self, tmp_path):
         csv_path = tmp_path / "w.csv"

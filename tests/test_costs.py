@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from svp import CostModel, DomainError, InvalidRangeError, TimeSeries, cost
+from svp.costs import make_cost_fn, poisson_cost
 
 from oracles import naive_cost
 
@@ -50,6 +51,11 @@ class TestErrors:
         with pytest.raises(DomainError):
             cost(series([1.0, -0.5]), 0, 2, CostModel("poisson"))
 
+    def test_poisson_closure_rejects_negatives_when_bound(self):
+        # the closure checks the domain once per series, not per call
+        with pytest.raises(DomainError):
+            make_cost_fn(series([1.0, 2.0, -0.5, 3.0]), CostModel("poisson"))
+
     def test_bad_model(self):
         with pytest.raises(DomainError):
             CostModel("huber")
@@ -85,6 +91,19 @@ class TestAgainstNaive:
             assert cost(ts, a, b, model) == pytest.approx(
                 naive_cost(values, a, b, kind), rel=1e-9, abs=1e-12
             )
+
+
+class TestPoissonClosure:
+    def test_bit_identical_to_poisson_cost(self):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            values = np.abs(rng.normal(1.0, 2.0, size=120))
+            values[rng.integers(0, 120, size=10)] = 0.0
+            ts = series(values)
+            closure = make_cost_fn(ts, CostModel("poisson"))
+            for a in range(0, 120, 3):
+                for b in range(a + 1, 121, 2):
+                    assert closure(a, b) == poisson_cost(ts, a, b)
 
 
 class TestProperties:

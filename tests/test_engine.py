@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from svp import (
     segmentation_is_valid,
     svp_run,
 )
+
+from svp import engine
+from svp.bench import Scenario, generate
 
 from oracles import brute_force_op, brute_force_svp, reference_run
 
@@ -83,6 +87,14 @@ class TestSvpRunExamples:
             r_n = result.table.r[-1]
             assert r_n.k == k
             assert r_n.q == pytest.approx(q, rel=1e-9, abs=1e-12)
+
+    def test_min_seg_len_above_n_fails_before_the_loop(self):
+        ts = TimeSeries.from_values([1.0, 2.0, 3.0])
+        calls = []
+        config = gaussian_config(ValidityTest("range", gamma=5.0), min_seg_len=4)
+        with pytest.raises(InfeasiblePartitionError, match=r"min_seg_len 4 .* length 3"):
+            svp_run(ts, config, stat_trace=lambda s, t, v: calls.append(s))
+        assert calls == []
 
     def test_infeasible_with_negative_gamma(self):
         ts = TimeSeries.from_values([1.0, 2.0])
@@ -247,6 +259,111 @@ class TestPruningDifferential:
             assert lazy.segmentation == reference.segmentation
             assert lazy.table.r == reference.table.r
             assert lazy.table.s == reference.table.s
+
+
+def constant_runs(rng, n):
+    """Runs of 40 to 160 equal small integers.
+
+    A constant window scores u * (n - u) / 2 under the Wilcoxon scan, so
+    runs longer than sqrt(8 * gamma) must be cut, and every cut inside a
+    run costs 0: many starts tie on the extended cost.
+    """
+    values: list[float] = []
+    while len(values) < n:
+        values += [float(rng.integers(0, 3))] * int(rng.integers(40, 160))
+    return np.array(values[:n])
+
+
+class TestArrayScanDifferential:
+    """Runs long enough that consulted gaussian groups take the numpy scan."""
+
+    @pytest.mark.parametrize(
+        "kind,sticky,gamma,cost_kind,min_seg_len,ties",
+        [
+            ("glr_gaussian_focus", True, 4.0, "gaussian", 1, False),
+            ("glr_gaussian_focus", True, 4.0, "gaussian", 3, False),
+            ("range", False, 5.5, "gaussian", 1, False),
+            ("wilcoxon", True, 60.0, "mad", 1, False),
+            ("wilcoxon", True, 1250.0, "gaussian", 1, True),
+            ("wilcoxon", False, 1250.0, "gaussian", 2, True),
+        ],
+    )
+    def test_matches_reference(
+        self, monkeypatch, kind, sticky, gamma, cost_kind, min_seg_len, ties
+    ):
+        lexsort = np.lexsort
+        sorted_sizes = []
+        tied_calls = []
+
+        def spy(keys):
+            sorted_sizes.append(len(keys[-1]))
+            tied_calls.append(np.unique(keys[-1]).size < len(keys[-1]))
+            return lexsort(keys)
+
+        make_cost_fn = engine.make_cost_fn
+        cost_calls_at = Counter()
+
+        def counted_make_cost_fn(series, model):
+            cost_fn = make_cost_fn(series, model)
+
+            def counted(a, b):
+                cost_calls_at[b] += 1
+                return cost_fn(a, b)
+
+            return counted
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        monkeypatch.setattr(engine, "make_cost_fn", counted_make_cost_fn)
+        rng = np.random.default_rng(17)
+        config = EngineConfig(
+            cost=CostModel(cost_kind),
+            test=ValidityTest(kind, gamma=gamma, sticky=sticky),
+            min_seg_len=min_seg_len,
+        )
+        for _ in range(2):
+            n = int(rng.integers(250, 400))
+            if ties:
+                values = constant_runs(rng, n)
+            else:
+                values = random_series(rng, n, changes=int(rng.integers(1, 4)))
+            ts = TimeSeries.from_values(values)
+            lazy = svp_run(ts, config)
+            reference = reference_run(ts, config)
+            assert lazy.segmentation == reference.segmentation
+            assert lazy.table.r == reference.table.r
+            assert lazy.table.s == reference.table.s
+        if cost_kind == "gaussian":
+            assert sorted_sizes and min(sorted_sizes) > engine._ARRAY_SCAN_MIN
+        else:
+            # other costs keep the scalar closure, however large the group
+            assert not sorted_sizes
+            assert max(cost_calls_at.values()) > engine._ARRAY_SCAN_MIN
+        if ties:
+            assert any(tied_calls)
+
+
+class TestFeedCounts:
+    """``stat_trace`` calls are deterministic: one per value fed to a sticky state."""
+
+    def test_change_free_sticky_glr_feeds_each_value_once(self):
+        n = 1000
+        ts = generate(Scenario(name="none", n=n, seed=5))
+        test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
+        calls = []
+        result = svp_run(ts, gaussian_config(test), stat_trace=lambda s, t, v: calls.append(s))
+        assert result.segmentation.boundaries == (0, n)
+        assert len(calls) == n
+
+    def test_up_k4_count_is_pinned(self):
+        # measured before the group scan was vectorized; a change here
+        # means the runner consults or feeds different starts
+        n = 1000
+        ts = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=5))
+        test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
+        calls = []
+        result = svp_run(ts, gaussian_config(test), stat_trace=lambda s, t, v: calls.append(s))
+        assert result.segmentation.boundaries == (0, 253, 499, 747, 1000)
+        assert len(calls) == 75688
 
 
 class TestMonotonicity:
