@@ -251,80 +251,6 @@ class FocusState(ValidityState):
                     best = val
         return best
 
-    def catch_up(self, values, start: int, upto: int, trace=None, kill: bool = False) -> bool:
-        """``feed`` per value with ``_advance`` and ``_evaluate`` inlined.
-
-        The statistic is evaluated only when a sticky test, ``trace`` or
-        ``kill`` reads it, over the pieces before the new one is appended
-        (the new piece has an empty suffix).  Results, trace calls and the
-        early stop equal the base class loop.
-        """
-        length = self.length
-        stop = upto - start
-        if length >= stop:
-            return True
-        test = self.test
-        sticky = test.sticky
-        gamma = test.gamma
-        evaluate = sticky or kill or trace is not None
-        tripped = self.tripped
-        alive = True
-        n = self._n
-        sn = self._sn
-        hi = self._hi
-        lo = self._lo
-        stat = self._stat
-        while length < stop:
-            sn += values[start + length]
-            length += 1
-            n += 1
-            while len(hi) > 1:
-                st1, tau1, _ = hi[-1]
-                st0, tau0, _ = hi[-2]
-                if (sn - st1) * (n - tau0) <= (sn - st0) * (n - tau1):
-                    hi.pop()
-                else:
-                    break
-            while len(lo) > 1:
-                st1, tau1, _ = lo[-1]
-                st0, tau0, _ = lo[-2]
-                if (sn - st1) * (n - tau0) >= (sn - st0) * (n - tau1):
-                    lo.pop()
-                else:
-                    break
-            m0 = sn * sn / (2.0 * n)
-            if evaluate:
-                stat = 0.0
-                if n >= 2:
-                    for st, tau, m0p in hi:
-                        diff = sn - st
-                        val = m0p + diff * diff / (2.0 * (n - tau)) - m0
-                        if val > stat:
-                            stat = val
-                    for st, tau, m0p in lo:
-                        diff = sn - st
-                        val = m0p + diff * diff / (2.0 * (n - tau)) - m0
-                        if val > stat:
-                            stat = val
-            piece = (sn, n, m0)
-            hi.append(piece)
-            lo.append(piece)
-            if evaluate:
-                if sticky and stat > gamma:
-                    tripped = True
-                if trace is not None:
-                    trace(start, start + length, stat)
-                if kill and (tripped if sticky else stat > gamma):
-                    alive = False
-                    break
-        self.length = length
-        self._n = n
-        self._sn = sn
-        self._stat = stat
-        self._stale = not evaluate
-        self.tripped = tripped
-        return alive
-
     @property
     def piece_count(self) -> int:
         return len(self._hi) + len(self._lo)

@@ -190,74 +190,6 @@ class TestExactness:
         assert mean_count <= 6.0 * math.log(400)
 
 
-def feed_each(state, values, start, upto, trace, kill):
-    """The catch-up contract written as one ``feed`` per value."""
-    while state.length < upto - start:
-        state.feed(values[start + state.length])
-        if trace is not None:
-            trace(start, start + state.length, state.statistic)
-        if kill and not state.is_valid:
-            return False
-    return True
-
-
-def recorder(calls):
-    return lambda s, t, value: calls.append((s, t, value))
-
-
-CATCH_UP_GAMMA = {
-    "range": 3.0,
-    "glr_gaussian_naive": 4.0,
-    "glr_gaussian_focus": 4.0,
-    "wilcoxon": 20.0,
-    "mood": 6.0,
-}
-
-
-class TestCatchUp:
-    """``catch_up`` over random chunks equals one ``feed`` per value."""
-
-    @pytest.mark.parametrize("kind", sorted(CATCH_UP_GAMMA))
-    @pytest.mark.parametrize("sticky", [False, True])
-    @pytest.mark.parametrize("traced", [False, True])
-    @pytest.mark.parametrize("kill", [False, True])
-    def test_matches_feed(self, kind, sticky, traced, kill):
-        rng = np.random.default_rng(30)
-        test = ValidityTest(kind, gamma=CATCH_UP_GAMMA[kind], sticky=sticky)
-        stopped = 0
-        for _ in range(6):
-            n = 90
-            values = rng.normal(size=n)
-            values[int(rng.integers(20, 70)) :] += 2.5
-            values = values.tolist()
-            start = int(rng.integers(0, 10))
-            fast, slow = test.new_state(start), test.new_state(start)
-            fast_trace, slow_trace = [], []
-            upto = start
-            while upto < n:
-                upto = min(n, upto + int(rng.integers(1, 25)))
-                fast_ok = fast.catch_up(
-                    values, start, upto, recorder(fast_trace) if traced else None, kill
-                )
-                slow_ok = feed_each(
-                    slow, values, start, upto, recorder(slow_trace) if traced else None, kill
-                )
-                assert fast_ok == slow_ok
-                assert fast.length == slow.length
-                assert fast.tripped == slow.tripped
-                assert fast.statistic == slow.statistic
-                assert fast_trace == slow_trace
-                if kind == "glr_gaussian_focus":
-                    assert fast.piece_count == slow.piece_count
-                if not fast_ok:
-                    # stopped right after the first value that left it invalid
-                    assert not fast.is_valid
-                    stopped += 1
-                    break
-        if kill:
-            assert stopped > 0
-
-
 class TestStability:
     def test_sticky_wrapper_latches(self):
         test = ValidityTest("glr_gaussian_focus", gamma=0.4, sticky=True)
