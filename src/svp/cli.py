@@ -55,7 +55,6 @@ _COST_ALIASES = {
 _TEST_ALIASES = {
     "range": "range",
     "glr": "glr_gaussian_focus",
-    "glr-naive": "glr_gaussian_naive",
     "wilcoxon": "wilcoxon",
     "mood": "mood",
 }

@@ -8,10 +8,12 @@ Each step consults the group with the fewest segments first, in order
 of extended cost; for a gaussian cost and a large group that order comes
 from one numpy expression.  A start's validity state is created when a
 scan first reaches it and caught up only on demand, by one
-``ValidityState.catch_up`` call over the values it missed.  With a
-stable test, starts the scan finds invalid are dropped for good, so the
-runner touches one small group per step, which is what makes the
-incremental-GLR configuration scale near-linearly on change-free data.
+``ValidityState.catch_up`` call over the values it missed; that call
+also traces the statistics and applies the stable-test stop rule, and
+its answer is the segment's validity.  With a stable test, starts the
+scan finds invalid are dropped for good, so the runner touches one small
+group per step, which is what makes the incremental-GLR configuration
+scale near-linearly on change-free data.
 
 ``op_pelt_run`` is the penalized optimal-partitioning baseline; its
 ``prune`` flag applies the classic PELT inequality.
@@ -131,24 +133,24 @@ def _run_lazy(
     Each group keeps parallel lists of starts ``s`` (increasing), DP
     costs ``q`` and validity states.  A start's state is created the
     first time a scan reaches it, and states of unconsulted starts stay
-    frozen until then: ``catch_up`` replays the values they missed, so
-    the per-step work tracks the consulted starts instead of the whole
-    candidate set.  Within a group, starts are tried in increasing
-    extended cost ``q + C(s, t)`` (ties to the latest start) and the scan
-    stops at the first valid one, which is the group optimum.  Starts the
-    scan finds invalid under a stable test are deleted from their group
-    right after that scan.  For a gaussian cost and a group of more than
-    ``_ARRAY_SCAN_MIN`` eligible starts, the extended costs and their
-    order come from one numpy expression over arrays cached until the
-    group changes; it rounds exactly like the scalar cost closure.
+    frozen until then: ``catch_up`` replays the values they missed and
+    says whether ``(s, t]`` is valid, calling ``trace`` for the
+    statistics it evaluates, so the per-step work tracks the consulted
+    starts instead of the whole candidate set.  Within a group, starts
+    are tried in increasing extended cost ``q + C(s, t)`` (ties to the
+    latest start) and the scan stops at the first valid one, which is the
+    group optimum.  Starts the scan finds invalid under a stable test are
+    deleted from their group right after that scan.  For a gaussian cost
+    and a group of more than ``_ARRAY_SCAN_MIN`` eligible starts, the
+    extended costs and their order come from one numpy expression over
+    arrays cached until the group changes; it rounds exactly like the
+    scalar cost closure.
     """
     n = len(series)
     values = series.values.tolist()
     test = config.test
     new_state = test.new_state
-    sticky = test.sticky
     kill = test.gamma_stable
-    feed_trace = trace if sticky else None
     min_len = config.min_seg_len
     cost_fn = make_cost_fn(series, config.cost)
     vectorize = config.cost.kind == "gaussian"
@@ -195,15 +197,10 @@ def _run_lazy(
                 state = states[i]
                 if state is None:
                     state = states[i] = new_state(s)
-                if not state.catch_up(values, s, t, feed_trace, kill):
-                    dead.append(i)
-                    continue
-                if trace is not None and not sticky:
-                    trace(s, t, state.statistic)
-                if state.is_valid:
+                if state.catch_up(values, t, trace):
                     found = (BiPoint(k + 1, float(q_total[i])), s)
                     break
-                if kill:
+                elif kill:
                     dead.append(i)
             if dead:
                 group.drop(dead)
@@ -247,33 +244,21 @@ def op_pelt_run(
     f = [0.0] + [math.inf] * n
     last = [0] * (n + 1)
     cands = [0]
-    if prune:
-        for t in range(1, n + 1):
-            raw: list[float] = []
-            best = math.inf
-            best_s = 0
-            for s in cands:
-                c = f[s] + cost_fn(s, t)
-                raw.append(c)
-                if c + penalty <= best:
-                    best = c + penalty
-                    best_s = s
-            f[t] = best
-            last[t] = best_s
+    for t in range(1, n + 1):
+        raw: list[float] = []
+        best = math.inf
+        best_s = 0
+        for s in cands:
+            c = f[s] + cost_fn(s, t)
+            raw.append(c)
+            if c + penalty <= best:
+                best = c + penalty
+                best_s = s
+        f[t] = best
+        last[t] = best_s
+        if prune:
             cands = [s for s, c in zip(cands, raw) if c <= best]
-            cands.append(t)
-    else:
-        for t in range(1, n + 1):
-            best = math.inf
-            best_s = 0
-            for s in cands:
-                v = f[s] + cost_fn(s, t) + penalty
-                if v <= best:
-                    best = v
-                    best_s = s
-            f[t] = best
-            last[t] = best_s
-            cands.append(t)
+        cands.append(t)
     bounds = [n]
     t = n
     while t > 0:

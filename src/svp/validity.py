@@ -1,9 +1,11 @@
 """Single-change validity tests f(segment) <= gamma.
 
 Each test comes in two forms: a standalone full-window scan (the
-defining computation) and an incremental per-start state the engine
-pushes one observation at a time.  The incremental statistics are exact,
-they equal the full rescan at every prefix length.
+defining computation) and an incremental per-start state that
+``ValidityState.catch_up`` feeds one observation at a time; the state
+owns the stop rule and the tracing, the engine only asks it whether a
+segment is valid.  The incremental statistics are exact, they equal the
+full rescan at every prefix length.
 
 The sticky flag turns any test into a stable one: once a growing
 segment fails, every extension of it reports invalid.  The range test
@@ -19,15 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, InvalidRangeError, TimeSeries
-
-VALIDITY_KINDS = (
-    "glr_gaussian_naive",
-    "glr_gaussian_focus",
-    "wilcoxon",
-    "mood",
-    "range",
-)
-
 
 @dataclass(frozen=True)
 class ValidityTest:
@@ -99,21 +92,29 @@ class ValidityState:
             return not self.tripped
         return self.statistic <= self.test.gamma
 
-    def catch_up(self, values, start: int, upto: int, trace=None, kill: bool = False) -> bool:
+    def catch_up(self, values, upto: int, trace=None) -> bool:
         """Feed ``values[start + length : upto]``, one ``feed`` per value.
 
-        ``trace(start, start + length, statistic)`` is called after each
-        value when given.  With ``kill`` the catch-up stops right after
+        Returns whether the segment ``(start, upto]`` is valid.  When given,
+        ``trace(start, end, statistic)`` is called for every statistic the
+        test evaluates: after each value under a sticky test, once at the
+        end otherwise.  Under a stable test the catch-up stops right after
         the first value that leaves the state invalid and returns False;
-        otherwise it returns True.
+        that segment and every extension of it are invalid.
         """
+        start = self.start
+        test = self.test
+        stop = test.gamma_stable
+        each = trace if test.sticky else None
         while self.length < upto - start:
             self.feed(values[start + self.length])
-            if trace is not None:
-                trace(start, start + self.length, self.statistic)
-            if kill and not self.is_valid:
+            if each is not None:
+                each(start, start + self.length, self.statistic)
+            if stop and not self.is_valid:
                 return False
-        return True
+        if trace is not None and each is None:
+            trace(start, upto, self.statistic)
+        return self.is_valid
 
     def _advance(self, value: float) -> None:
         raise NotImplementedError
@@ -137,8 +138,6 @@ class RangeState(ValidityState):
             self._hi = value
 
     def _evaluate(self) -> float:
-        if self.length < 1:
-            return 0.0
         return self._hi - self._lo
 
 
@@ -168,26 +167,6 @@ def glr_scan_naive(series: TimeSeries, a: int, b: int) -> float:
     return _glr_max_gain(series.cumsum, series.cumsum_sq, a, b)
 
 
-class GlrNaiveState(ValidityState):
-    """Reference GLR state: full rescan of the buffered segment per push."""
-
-    __slots__ = ("_cs", "_css")
-
-    def __init__(self, test: ValidityTest, start: int):
-        super().__init__(test, start)
-        self._cs = [0.0]
-        self._css = [0.0]
-
-    def _advance(self, value: float) -> None:
-        self._cs.append(self._cs[-1] + value)
-        self._css.append(self._css[-1] + value * value)
-
-    def _evaluate(self) -> float:
-        if self.length < 2:
-            return 0.0
-        return _glr_max_gain(np.asarray(self._cs), np.asarray(self._css), 0, self.length)
-
-
 class FocusState(ValidityState):
     """Functionally pruned sequential max-GLR (gaussian mean change).
 
@@ -197,22 +176,31 @@ class FocusState(ValidityState):
     stored fit plus the best fit of the data after its split.  Pieces
     whose suffix means fall out of order can never attain the maximum
     again and are dropped, which keeps the lists logarithmic on average.
+
+    The piece of the newest split has an empty suffix, so it is held as
+    ``_pending`` and joins the lists only at the next value; it doubles as
+    the current (prefix sum, length, fit).  The lists start with the
+    anchor (0.0, 0, 0.0), which pruning compares against and never drops;
+    it evaluates to exactly 0.0.  ``piece_count`` counts the listed
+    pieces, not the pending one.
     """
 
-    __slots__ = ("_n", "_sn", "_lo", "_hi")
+    __slots__ = ("_pending", "_lo", "_hi")
 
     def __init__(self, test: ValidityTest, start: int):
         super().__init__(test, start)
-        self._n = 0
-        self._sn = 0.0
-        self._lo = [(0.0, 0, 0.0)]
-        self._hi = [(0.0, 0, 0.0)]
+        self._pending = (0.0, 0, 0.0)
+        self._lo = []
+        self._hi = []
 
     def _advance(self, value: float) -> None:
-        self._n = n = self._n + 1
-        self._sn = sn = self._sn + value
-        m0 = sn * sn / (2.0 * n)
+        piece = self._pending
         hi = self._hi
+        lo = self._lo
+        hi.append(piece)
+        lo.append(piece)
+        sn = piece[0] + value
+        n = piece[1] + 1
         while len(hi) > 1:
             st1, tau1, _ = hi[-1]
             st0, tau0, _ = hi[-2]
@@ -221,7 +209,6 @@ class FocusState(ValidityState):
                 hi.pop()
             else:
                 break
-        lo = self._lo
         while len(lo) > 1:
             st1, tau1, _ = lo[-1]
             st0, tau0, _ = lo[-2]
@@ -229,22 +216,13 @@ class FocusState(ValidityState):
                 lo.pop()
             else:
                 break
-        piece = (sn, n, m0)
-        hi.append(piece)
-        lo.append(piece)
+        self._pending = (sn, n, sn * sn / (2.0 * n))
 
     def _evaluate(self) -> float:
-        n = self._n
-        if n < 2:
-            return 0.0
-        sn = self._sn
-        m0 = sn * sn / (2.0 * n)
+        sn, n, m0 = self._pending
         best = 0.0
-        # The newest piece (split at n) is skipped: its suffix is empty.
         for pieces in (self._hi, self._lo):
             for st, tau, m0p in pieces:
-                if tau == n:
-                    continue
                 diff = sn - st
                 val = m0p + diff * diff / (2.0 * (n - tau)) - m0
                 if val > best:
@@ -254,6 +232,15 @@ class FocusState(ValidityState):
     @property
     def piece_count(self) -> int:
         return len(self._hi) + len(self._lo)
+
+
+def _grown(buf: np.ndarray, needed: int) -> np.ndarray:
+    """``buf``, or a copy of it with room for ``needed`` values (doubling)."""
+    if needed <= buf.size:
+        return buf
+    out = np.empty(max(needed, 2 * buf.size), dtype=buf.dtype)
+    out[: buf.size] = buf
+    return out
 
 
 class WilcoxonState(ValidityState):
@@ -271,22 +258,12 @@ class WilcoxonState(ValidityState):
         self._vals = np.empty(8, dtype=np.float64)
         self._w = np.empty(8, dtype=np.float64)
 
-    def _grow(self, needed: int) -> None:
-        if needed > self._vals.size:
-            cap = max(needed, 2 * self._vals.size)
-            for name in ("_vals", "_w"):
-                buf = np.empty(cap, dtype=np.float64)
-                old = getattr(self, name)
-                buf[: old.size] = old
-                setattr(self, name, buf)
-
     def _advance(self, value: float) -> None:
         m = self.length - 1
-        self._grow(m + 1)
-        vals = self._vals
+        self._vals = vals = _grown(self._vals, m + 1)
+        self._w = w = _grown(self._w, m + 1)
         if m > 0:
             counts = np.cumsum(vals[:m] <= value)
-            w = self._w
             if m > 1:
                 w[: m - 1] += counts[: m - 1] - 0.5 * np.arange(1, m)
             w[m - 1] = counts[m - 1] - 0.5 * m
@@ -369,10 +346,7 @@ class MoodState(ValidityState):
 
     def _advance(self, value: float) -> None:
         m = self.length - 1
-        if m + 1 > self._vals.size:
-            buf = np.empty(max(m + 1, 2 * self._vals.size), dtype=np.float64)
-            buf[: self._vals.size] = self._vals
-            self._vals = buf
+        self._vals = _grown(self._vals, m + 1)
         self._vals[m] = value
         insort(self._sorted, value)
 
@@ -387,12 +361,12 @@ class MoodState(ValidityState):
 
 
 _STATE_CLASSES: dict[str, type[ValidityState]] = {
-    "range": RangeState,
-    "glr_gaussian_naive": GlrNaiveState,
     "glr_gaussian_focus": FocusState,
     "wilcoxon": WilcoxonState,
     "mood": MoodState,
+    "range": RangeState,
 }
+VALIDITY_KINDS = tuple(_STATE_CLASSES)
 
 
 def segment_statistic(series: TimeSeries, a: int, b: int, kind: str) -> float:
@@ -402,7 +376,7 @@ def segment_statistic(series: TimeSeries, a: int, b: int, kind: str) -> float:
     if kind == "range":
         seg = series.values[a:b]
         return float(seg.max() - seg.min())
-    if kind in ("glr_gaussian_naive", "glr_gaussian_focus"):
+    if kind == "glr_gaussian_focus":
         return glr_scan_naive(series, a, b)
     if kind == "wilcoxon":
         return wilcoxon_scan(series.values[a:b])

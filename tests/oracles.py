@@ -114,7 +114,7 @@ def naive_statistic(values, a, b, kind):
     seg = [float(v) for v in values[a:b]]
     if kind == "range":
         return naive_range(seg)
-    if kind in ("glr_gaussian_naive", "glr_gaussian_focus"):
+    if kind == "glr_gaussian_focus":
         return naive_glr(values, a, b)
     if kind == "wilcoxon":
         return naive_wilcoxon(seg)

@@ -343,7 +343,8 @@ class TestArrayScanDifferential:
 
 
 class TestFeedCounts:
-    """``stat_trace`` calls are deterministic: one per value fed to a sticky state."""
+    """``stat_trace`` calls are deterministic: one per value fed to a sticky
+    state, one per consulted segment under a non-sticky test."""
 
     def test_change_free_sticky_glr_feeds_each_value_once(self):
         n = 1000
@@ -354,16 +355,26 @@ class TestFeedCounts:
         assert result.segmentation.boundaries == (0, n)
         assert len(calls) == n
 
-    def test_up_k4_count_is_pinned(self):
-        # measured before the group scan was vectorized; a change here
-        # means the runner consults or feeds different starts
+    @pytest.mark.parametrize(
+        "kind,gamma,sticky,boundaries,count",
+        [
+            ("glr_gaussian_focus", 2.0 * math.log(1000), True, (0, 253, 499, 747, 1000), 75688),
+            ("glr_gaussian_focus", 2.0 * math.log(1000), False, (0, 253, 499, 747, 1000), 189678),
+            ("range", 7.0, False, (0, 499, 747, 1000), 1000),
+        ],
+        ids=["sticky-glr", "glr", "range"],
+    )
+    def test_up_k4_count_is_pinned(self, kind, gamma, sticky, boundaries, count):
+        # measured before the group scan was vectorized (sticky row) and
+        # before states owned the trace (other rows); a change here means
+        # the runner consults, feeds or traces different starts
         n = 1000
         ts = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=5))
-        test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
+        test = ValidityTest(kind, gamma=gamma, sticky=sticky)
         calls = []
         result = svp_run(ts, gaussian_config(test), stat_trace=lambda s, t, v: calls.append(s))
-        assert result.segmentation.boundaries == (0, 253, 499, 747, 1000)
-        assert len(calls) == 75688
+        assert result.segmentation.boundaries == boundaries
+        assert len(calls) == count
 
 
 class TestMonotonicity:

@@ -121,7 +121,6 @@ class TestExactness:
         "kind,tol",
         [
             ("glr_gaussian_focus", 1e-9),
-            ("glr_gaussian_naive", 1e-9),
             ("wilcoxon", 0.0),
             ("mood", 0.0),
             ("range", 0.0),
@@ -226,6 +225,56 @@ class TestStability:
         assert failed_at is not None
         for b in range(failed_at, 61):
             assert not is_segment_valid(ts, 0, b, test)
+
+
+class TestCatchUp:
+    """``catch_up`` answers validity, traces, and stops early only under a stable test."""
+
+    VALUES = [0.0, 0.1, -0.1, 0.0, 5.0, 5.1, 4.9, 5.0, 0.0, 0.1]
+
+    @pytest.mark.parametrize(
+        "kind,sticky,gamma,stable",
+        [
+            ("glr_gaussian_focus", True, 2.0, True),
+            ("range", False, 1.0, True),
+            ("glr_gaussian_focus", False, 2.0, False),
+            ("mood", False, 1.0, False),
+        ],
+    )
+    def test_invalid_segment(self, kind, sticky, gamma, stable):
+        start, upto = 2, len(self.VALUES)
+        state = ValidityTest(kind, gamma, sticky).new_state(start)
+        trace = []
+        valid = state.catch_up(self.VALUES, upto, lambda s, t, v: trace.append((s, t)))
+        assert valid == state.is_valid
+        assert not valid
+        if stable:
+            assert state.length < upto - start
+        else:
+            assert state.length == upto - start
+        if sticky:
+            assert trace == [(start, start + u) for u in range(1, state.length + 1)]
+        elif stable:
+            assert trace == []
+        else:
+            assert trace == [(start, upto)]
+
+    @pytest.mark.parametrize("kind", ["glr_gaussian_focus", "wilcoxon", "mood", "range"])
+    def test_resumes_from_its_length(self, kind):
+        state = ValidityTest(kind, 1e9, sticky=True).new_state(3)
+        assert state.catch_up(self.VALUES, 6) == state.is_valid
+        assert state.length == 3
+        trace = []
+        valid = state.catch_up(self.VALUES, 10, lambda s, t, v: trace.append((s, t, v)))
+        assert valid == state.is_valid
+        assert valid
+        assert state.length == 7
+        assert [t for _, t, _ in trace] == [7, 8, 9, 10]
+        assert trace[-1][2] == state.statistic
+
+    def test_removed_naive_glr_kind_is_rejected(self):
+        with pytest.raises(DomainError):
+            ValidityTest("glr_gaussian_naive", 1.0)
 
 
 class TestRankInvariance:
