@@ -159,10 +159,14 @@ def _resolve_gamma(args, n: int) -> tuple[float, str]:
 
 
 def _mad_diff_scale(values: np.ndarray) -> float:
+    if values.size < 2:
+        raise _CliError(EXIT_BAD_FLAGS, "mad-diff standardization needs at least 2 values")
     diffs = np.abs(np.diff(values))
     scale = 1.4826 * float(np.median(diffs)) / math.sqrt(2.0)
-    if scale <= 0.0:
-        raise _CliError(EXIT_BAD_FLAGS, "mad-diff standardization needs a non-constant series")
+    if not 0.0 < scale < math.inf:
+        raise _CliError(
+            EXIT_BAD_FLAGS, f"mad-diff standardization needs a positive finite scale, got {scale}"
+        )
     return scale
 
 

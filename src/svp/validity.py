@@ -5,7 +5,8 @@ defining computation) and an incremental per-start state that
 ``ValidityState.catch_up`` feeds one observation at a time; the state
 owns the stop rule and the tracing, the engine only asks it whether a
 segment is valid.  The incremental statistics are exact, they equal the
-full rescan at every prefix length.
+full rescan at every prefix length.  ``certainly_invalid`` lets the full
+scan settle a segment on its own when its value alone exceeds gamma.
 
 The sticky flag turns any test into a stable one: once a growing
 segment fails, every extension of it reports invalid.  The range test
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -276,21 +278,31 @@ class WilcoxonState(ValidityState):
 
 
 def wilcoxon_scan(window) -> float:
-    """Max over splits of |W_u| on a window, computed from the pair matrix.
+    """Max over splits of |W_u| on a window, computed from ranks.
 
-    Independent of the incremental path; intended for validation and
-    post-hoc checks.
+    W_u counts the pairs (i <= u < j) with x_i <= x_j, less u(L-u)/2.
+    Summing, over the right part, each value's count of window values <=
+    it and removing the pairs inside the right part (m(m+1)/2 plus one per
+    tied pair) gives every split in O(L log L) time and O(L) memory, in
+    integers, so the result is the exact half-integer the incremental
+    state holds.  Independent of the incremental path.
     """
     a = np.asarray(window, dtype=np.float64)
     size = a.size
     if size < 2:
         return 0.0
-    le = a[:, None] <= a[None, :]
-    rows = np.cumsum(le, axis=0)
-    tails = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+    order = np.argsort(a, kind="stable")
+    srt = a[order]
+    at_most = np.searchsorted(srt, a, side="right")
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(size)
+    # A stable sort keeps tied values in index order, so the values after
+    # a value's sorted position within its tie block are its later ties.
+    later_ties = at_most - 1 - rank
+    tails = np.cumsum((at_most - later_ties)[::-1])[::-1]
     u = np.arange(1, size)
-    pairs = tails[u - 1, u]
-    w = pairs - 0.5 * u * (size - u)
+    m = size - u
+    w = (tails[1:] - m * (m + 1) // 2) - 0.5 * u * m
     return float(np.abs(w).max())
 
 
@@ -383,6 +395,32 @@ def segment_statistic(series: TimeSeries, a: int, b: int, kind: str) -> float:
     if kind == "mood":
         return mood_scan(series.values[a:b])
     raise DomainError(f"unknown validity kind {kind!r}")
+
+
+# FOCuS's running sums and the naive scan's prefix-sum differences are
+# both sequential sums over the window, rounded by at most (t - s) * eps
+# times their largest partial sum, so each GLR value strays from the exact
+# one by a small multiple of eps * (t - s) * cumsum_sq[t].  The slack is
+# about 4500 eps per unit of that; where it reaches gamma's scale (large
+# offsets, long windows) the certificate gives up and the state decides.
+_GLR_SLACK = 1e-12
+
+
+def certainly_invalid(series: TimeSeries, s: int, t: int, test: ValidityTest) -> Optional[float]:
+    """The full-window statistic of (s, t] when it proves the segment invalid.
+
+    A segment whose own statistic exceeds gamma fails the test, sticky or
+    not, so a state caught up to ``t`` would report it invalid.  Returns
+    that statistic (from ``segment_statistic``) when it settles the
+    question, None when the state must decide.  The range, Wilcoxon and
+    Mood scans give the state's float exactly; the naive GLR scan must
+    clear gamma by the rounding both it and FOCuS may carry.
+    """
+    value = segment_statistic(series, s, t, test.kind)
+    limit = test.gamma
+    if test.kind == "glr_gaussian_focus":
+        limit += _GLR_SLACK * (t - s) * float(series.cumsum_sq[t])
+    return value if value > limit else None
 
 
 def segment_sticky_statistic(series: TimeSeries, a: int, b: int, kind: str) -> float:

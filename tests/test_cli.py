@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestDetect:
         payload = json.loads(capsys.readouterr().out)
         assert any(abs(b - 100) <= 2 for b in payload["boundaries"][1:-1])
 
-    def test_exit_codes(self, tmp_path):
+    def test_exit_codes(self, tmp_path, capsys):
         assert main(["detect", "--input", str(tmp_path / "absent.csv"), "--gamma", "1"]) == 2
         bad = tmp_path / "bad.csv"
         bad.write_text("value\n1.0\noops\n2.0\n")
@@ -127,6 +128,11 @@ class TestDetect:
         single = tmp_path / "one.csv"
         write_csv(single, [2.5])
         assert main(["detect", "--input", str(single), "--gamma", "1", "--out", out]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way to the message
+            assert main(["detect", "--input", str(single), "--gamma", "1",
+                         "--standardize", "mad-diff", "--out", out]) == 4
+        assert "needs at least 2 values" in capsys.readouterr().err
         flat = tmp_path / "flat.csv"
         write_csv(flat, [3.0] * 50)
         assert main(["detect", "--input", str(flat), "--test", "glr", "--gamma-rule", "bic",

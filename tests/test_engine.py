@@ -25,6 +25,7 @@ from svp import (
 
 from svp import engine
 from svp.bench import Scenario, generate
+from svp.validity import certainly_invalid
 
 from oracles import brute_force_op, brute_force_svp, reference_run
 
@@ -342,9 +343,55 @@ class TestArrayScanDifferential:
             assert any(tied_calls)
 
 
+def table_hex(result):
+    """Every r and s entry and the boundaries, floats as exact hex."""
+    return (
+        [(float(bp.k).hex(), float(bp.q).hex()) for bp in result.table.r],
+        list(result.table.s),
+        result.segmentation.boundaries,
+    )
+
+
+class TestCertificateDifferential:
+    """Starts settled by a full-window statistic leave the tables bit-identical
+    to the reference, which feeds every start every value."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    @pytest.mark.parametrize(
+        "kind,gamma,cost_kind,n",
+        [
+            ("glr_gaussian_focus", 2.0 * math.log(1000), "gaussian", 1000),
+            ("wilcoxon", 1.5 * math.sqrt(30.0**3 / 12.0), "mad", 120),
+            ("mood", 9.0, "mad", 120),
+            ("range", 6.0, "gaussian", 400),
+        ],
+        ids=["glr", "wilcoxon", "mood", "range"],
+    )
+    def test_matches_reference_on_rounded_data(
+        self, monkeypatch, kind, gamma, cost_kind, n, offset
+    ):
+        settled = []
+
+        def spy(series, s, t, test):
+            value = certainly_invalid(series, s, t, test)
+            settled.append(value is not None)
+            return value
+
+        monkeypatch.setattr(engine, "certainly_invalid", spy)
+        base = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=5)).values
+        ts = TimeSeries.from_values(np.round(2.0 * base) / 2.0 + offset)
+        config = EngineConfig(
+            cost=CostModel(cost_kind), test=ValidityTest(kind, gamma=gamma, sticky=True)
+        )
+        assert table_hex(svp_run(ts, config)) == table_hex(reference_run(ts, config))
+        if kind != "glr_gaussian_focus" or offset == 0.0:
+            assert any(settled)
+
+
 class TestFeedCounts:
     """``stat_trace`` calls are deterministic: one per value fed to a sticky
-    state, one per consulted segment under a non-sticky test."""
+    state, one per start a full-window statistic settles, one per consulted
+    segment under a non-sticky test."""
 
     def test_change_free_sticky_glr_feeds_each_value_once(self):
         n = 1000
@@ -358,16 +405,18 @@ class TestFeedCounts:
     @pytest.mark.parametrize(
         "kind,gamma,sticky,boundaries,count",
         [
-            ("glr_gaussian_focus", 2.0 * math.log(1000), True, (0, 253, 499, 747, 1000), 75688),
+            ("glr_gaussian_focus", 2.0 * math.log(1000), True, (0, 253, 499, 747, 1000), 1771),
             ("glr_gaussian_focus", 2.0 * math.log(1000), False, (0, 253, 499, 747, 1000), 189678),
             ("range", 7.0, False, (0, 499, 747, 1000), 1000),
         ],
         ids=["sticky-glr", "glr", "range"],
     )
     def test_up_k4_count_is_pinned(self, kind, gamma, sticky, boundaries, count):
-        # measured before the group scan was vectorized (sticky row) and
-        # before states owned the trace (other rows); a change here means
-        # the runner consults, feeds or traces different starts
+        # the sticky row was re-measured when full-window statistics began
+        # to settle starts far behind (75688 before, every doomed start fed
+        # value by value); the other rows date from before states owned the
+        # trace.  A change here means the runner consults, feeds or traces
+        # different starts
         n = 1000
         ts = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=5))
         test = ValidityTest(kind, gamma=gamma, sticky=sticky)

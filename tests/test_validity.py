@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svp import (
     DomainError,
@@ -20,6 +23,7 @@ from svp import (
     wilcoxon_scan,
     wilcoxon_threshold,
 )
+from svp.validity import VALIDITY_KINDS, certainly_invalid
 
 from oracles import (
     naive_glr,
@@ -275,6 +279,82 @@ class TestCatchUp:
     def test_removed_naive_glr_kind_is_rejected(self):
         with pytest.raises(DomainError):
             ValidityTest("glr_gaussian_naive", 1.0)
+
+
+@st.composite
+def rounded_series(draw, min_size=2, max_size=60):
+    """Normal noise with up to two shifts, optionally rounded to integers
+    or halves, plus an offset of up to 1e8."""
+    n = draw(st.integers(min_size, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=n) * draw(st.sampled_from([0.5, 1.0, 3.0]))
+    for _ in range(draw(st.integers(0, 2))):
+        values[int(rng.integers(0, n)) :] += rng.normal(scale=3.0)
+    rounding = draw(st.sampled_from(["none", "integer", "half"]))
+    if rounding == "integer":
+        values = np.round(values)
+    elif rounding == "half":
+        values = np.round(2.0 * values) / 2.0
+    offset = draw(st.sampled_from([0.0, -7.5, 1e3, 1e6, -1e6, 1e8]))
+    return values + offset
+
+
+class TestCertificate:
+    """``certainly_invalid`` only settles segments a caught-up state rejects."""
+
+    @pytest.mark.parametrize("kind", VALIDITY_KINDS)
+    @settings(max_examples=150, deadline=None)
+    @given(values=rounded_series(), data=st.data())
+    def test_decision_equals_catch_up(self, kind, values, data):
+        n = values.size
+        s = data.draw(st.integers(0, n - 1))
+        t = data.draw(st.integers(s + 1, n))
+        ts = TimeSeries.from_values(values)
+        listed = ts.values.tolist()
+        plain = ValidityTest(kind, gamma=0.0).new_state(s)
+        prefix_max = 0.0
+        for value in listed[s:t]:
+            plain.feed(value)
+            prefix_max = max(prefix_max, plain.statistic)
+        own = plain.statistic
+        # gamma at the state's own value of (s, t] or at the largest value
+        # of its prefixes (a sticky state is then just valid), one ulp
+        # either side, or below them: there rounding decides the outcome
+        gamma = data.draw(
+            st.sampled_from(
+                [own, prefix_max, math.nextafter(prefix_max, -math.inf),
+                 math.nextafter(prefix_max, math.inf), own * (1.0 - 1e-9), own * 0.5]
+            )
+        )
+        test = ValidityTest(kind, gamma=gamma, sticky=True)
+        state = test.new_state(s)
+        state.catch_up(listed, data.draw(st.integers(s, t)))
+        value = certainly_invalid(ts, s, t, test)
+        valid = state.catch_up(listed, t)
+        if value is not None:
+            assert not valid
+            assert value > gamma
+            if kind != "glr_gaussian_focus":
+                assert value == own
+        elif kind != "glr_gaussian_focus":
+            # the exact scans settle every segment whose own value exceeds gamma
+            assert own <= gamma
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=rounded_series(max_size=14))
+    def test_rank_wilcoxon_scan_equals_pair_count(self, values):
+        assert wilcoxon_scan(values) == naive_wilcoxon(values.tolist())
+
+    def test_wilcoxon_scan_memory_is_linear(self):
+        # a pair-matrix form would allocate about 68 MB for 2000 values
+        values = np.random.default_rng(50).normal(size=2000)
+        tracemalloc.start()
+        try:
+            wilcoxon_scan(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestRankInvariance:
