@@ -33,7 +33,7 @@ from .bench import (
     write_results_csv,
     write_summary_json,
 )
-from .core import SvpError, TimeSeries
+from .core import DomainError, SvpError, TimeSeries
 from .costs import CostModel, cost
 from .engine import EngineConfig, svp_run
 from .validity import ValidityTest, segment_statistic, sidak_threshold, wilcoxon_threshold
@@ -178,7 +178,10 @@ def cmd_detect(args) -> int:
     if args.standardize == "mad-diff":
         scale = _mad_diff_scale(values)
         values = values / scale
-    series = TimeSeries.from_values(values)
+    try:
+        series = TimeSeries.from_values(values)
+    except DomainError as exc:
+        raise _CliError(EXIT_BAD_DATA, str(exc))
     n = len(series)
     gamma, gamma_rule = _resolve_gamma(args, n)
     try:

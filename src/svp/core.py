@@ -63,7 +63,8 @@ class TimeSeries:
 
     ``cumsum[s]`` holds the sum of the first ``s`` values (``cumsum[0] = 0``)
     so any segment sum is one subtraction; ``cumsum_sq`` does the same for
-    squares.  Arrays are read-only.
+    squares.  Arrays are read-only.  ``from_values`` raises ``DomainError``
+    unless every value and both cumulative sums are finite.
     """
 
     values: np.ndarray
@@ -79,8 +80,15 @@ class TimeSeries:
             raise DomainError("time series must contain at least one value")
         if not np.all(np.isfinite(arr)):
             raise DomainError("time series values must be finite")
-        cs = np.concatenate(([0.0], np.cumsum(arr)))
-        css = np.concatenate(([0.0], np.cumsum(arr * arr)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cs = np.concatenate(([0.0], np.cumsum(arr)))
+            css = np.concatenate(([0.0], np.cumsum(arr * arr)))
+        # A prefix sum that overflows stays infinite, so the last entries
+        # decide.  Finite sums also bound every segment cost.
+        if not (math.isfinite(cs[-1]) and math.isfinite(css[-1])):
+            raise DomainError(
+                "time series values are too large: their sum or sum of squares overflows"
+            )
         for a in (arr, cs, css):
             a.setflags(write=False)
         return cls(values=arr, cumsum=cs, cumsum_sq=css)

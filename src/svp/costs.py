@@ -1,7 +1,10 @@
 """Segment cost functions on half-open index ranges (a, b].
 
 Gaussian and Poisson costs are evaluated in constant time from the
-precomputed cumulative statistics; MAD and quantile costs sort the
+precomputed cumulative statistics.  The MAD cost is the exact sum of
+absolute deviations from the median, rounded once: ``mad_cost`` sorts
+the segment, and the closure of ``make_cost_fn`` keeps one sorted window
+per start and extends it value by value.  The quantile cost sorts the
 segment on every call.  The Poisson domain (nonnegative values) is
 checked per segment by ``poisson_cost`` and ``cost``, and once per series
 when ``make_cost_fn`` binds the Poisson closure, which then skips it.
@@ -10,6 +13,7 @@ when ``make_cost_fn`` binds the Poisson closure, which then skips it.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,10 +68,17 @@ def poisson_cost(series: TimeSeries, a: int, b: int) -> float:
 
 
 def mad_cost(series: TimeSeries, a: int, b: int) -> float:
-    """Sum of absolute deviations from the segment median."""
+    """Sum of absolute deviations from the segment median, rounded once.
+
+    With h = floor(len / 2), the sum equals the sum of the h largest
+    values minus the sum of the h smallest, so the median cancels and one
+    ``math.fsum`` gives the correctly rounded result.
+    """
     _check_range(series, a, b)
-    seg = series.values[a:b]
-    return float(np.abs(seg - np.median(seg)).sum())
+    seg = np.sort(series.values[a:b])
+    h = (b - a) // 2
+    # fsum may return -0.0 for an all-zero sum; the cost is +0.0 there.
+    return math.fsum(np.concatenate((seg[b - a - h :], -seg[:h])).tolist()) + 0.0
 
 
 def quantile_cost(series: TimeSeries, a: int, b: int, x: float) -> float:
@@ -98,8 +109,15 @@ def cost(series: TimeSeries, a: int, b: int, model: CostModel) -> float:
 def make_cost_fn(series: TimeSeries, model: CostModel) -> Callable[[int, int], float]:
     """Bind a cost model to a series for hot loops.
 
-    The gaussian and poisson closures work on plain Python floats pulled
-    from the cumulative arrays; results are bit-identical to cost().
+    Every closure returns values bit-identical to ``cost()``.  The
+    gaussian and poisson closures work on plain Python floats pulled from
+    the cumulative arrays.  The MAD closure keeps one state per start
+    ``a``, created on its first call: the window's values in sorted order,
+    their total and the sum of the lower half, all as integers at one
+    power-of-two scale for the whole series, so the sums are exact.  A
+    call extends the window to ``b`` by one insertion per new value, so a
+    start called at b = a+1, a+2, ... costs O(log L) per call, not a
+    sort; a call with ``b`` below the window's end rebuilds the state.
     Raises ``DomainError`` for a poisson model if any value is negative.
     """
     if model.kind == "gaussian":
@@ -125,6 +143,47 @@ def make_cost_fn(series: TimeSeries, model: CostModel) -> Callable[[int, int], f
 
         return poisson
     if model.kind == "mad":
-        return lambda a, b: mad_cost(series, a, b)
+        return _mad_fn(series)
     return lambda a, b: quantile_cost(series, a, b, model.x)
 
+
+def _mad_fn(series: TimeSeries) -> Callable[[int, int], float]:
+    # Each value is an exact integer multiple of 2**-shift, so window sums
+    # are exact ints and one int / int true division, which Python rounds
+    # correctly, gives the same float as the fsum in mad_cost.
+    ratios = [v.as_integer_ratio() for v in series.values.tolist()]
+    shift = max(den.bit_length() - 1 for _, den in ratios)
+    ints = [num << (shift - den.bit_length() + 1) for num, den in ratios]
+    scale = 1 << shift
+    # start -> [sorted window, total, sum of the lower floor(L/2), end]
+    states: dict[int, list] = {}
+
+    def mad(a: int, b: int) -> float:
+        state = states.get(a)
+        if state is None or b < state[3]:
+            window = sorted(ints[a:b])
+            state = states[a] = [window, sum(window), sum(window[: (b - a) // 2]), b]
+        elif b > state[3]:
+            window, total, low, end = state
+            for x in ints[end:b]:
+                length = len(window)
+                h = length >> 1
+                if length & 1:
+                    # The lower half grows by one: the smaller of x and the
+                    # old median.
+                    mid = window[h]
+                    low += x if x < mid else mid
+                elif h and x < window[h - 1]:
+                    # x displaces the largest value of the lower half.
+                    low += x - window[h - 1]
+                total += x
+                insort(window, x)
+            state[1] = total
+            state[2] = low
+            state[3] = b
+        window = state[0]
+        length = b - a
+        mid = window[length >> 1] if length & 1 else 0
+        return (state[1] - 2 * state[2] - mid) / scale
+
+    return mad

@@ -11,6 +11,7 @@ bit with the engine's.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 from svp import INF_BIPOINT, ZERO_BIPOINT, BiPoint, DpTable, SvpResult, backtrack
@@ -38,6 +39,15 @@ def naive_cost(values, a, b, kind, x=0.0):
         hi = max(1, math.ceil((1.0 - x) * length))
         return srt[hi - 1] - srt[lo - 1]
     raise ValueError(kind)
+
+
+def exact_mad(values, a, b):
+    """Sum of absolute deviations from the median of values[a:b], computed
+    in exact rational arithmetic and rounded to a float once."""
+    seg = sorted(Fraction(float(v)) for v in values[a:b])
+    half = len(seg) // 2
+    med = seg[half] if len(seg) % 2 else (seg[half - 1] + seg[half]) / 2
+    return float(sum(abs(v - med) for v in seg))
 
 
 def naive_median(seg):

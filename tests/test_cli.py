@@ -119,6 +119,12 @@ class TestDetect:
         infinite = tmp_path / "inf.csv"
         infinite.write_text("value\n1.0\ninf\n2.0\n")
         assert main(["detect", "--input", str(infinite), "--gamma", "1"]) == 3
+        huge = tmp_path / "huge.csv"
+        write_csv(huge, [1e200, -1e200, 1e200, -1e200, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # squares overflow: exit 3, no numpy warning
+            assert main(["detect", "--input", str(huge), "--test", "glr", "--gamma", "1"]) == 3
+        assert "overflows" in capsys.readouterr().err
         good = tmp_path / "ok.csv"
         write_csv(good, [1.0, 2.0, 3.0])
         assert main(["detect", "--input", str(good)]) == 4  # no gamma at all

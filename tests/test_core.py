@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from svp import (
     BiPoint,
     CorruptTableError,
     CostModel,
+    DomainError,
     DpTable,
     EngineConfig,
     Segmentation,
@@ -65,6 +67,14 @@ class TestTimeSeries:
             TimeSeries.from_values([])
         with pytest.raises(SvpError):
             TimeSeries.from_values([1.0, math.nan])
+
+    @pytest.mark.parametrize("values", [[1e200, -1e200, 1e200], [2e154, 1.0], [1e308, 1e308]])
+    def test_rejects_overflowing_sums_without_warnings(self, values):
+        # finite values whose sum or sum of squares is not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                TimeSeries.from_values(values)
 
     def test_arrays_read_only(self):
         ts = TimeSeries.from_values([1.0, 2.0])

@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svp import CostModel, DomainError, InvalidRangeError, TimeSeries, cost
-from svp.costs import make_cost_fn, poisson_cost
+from svp.costs import mad_cost, make_cost_fn, poisson_cost
 
-from oracles import naive_cost
+from oracles import exact_mad, naive_cost
 
 
 def series(values):
@@ -104,6 +106,68 @@ class TestPoissonClosure:
             for a in range(0, 120, 3):
                 for b in range(a + 1, 121, 2):
                     assert closure(a, b) == poisson_cost(ts, a, b)
+
+
+@st.composite
+def tied_series(draw, max_size=40):
+    """Raw floats, or t3 noise kept raw or rounded to integers or halves
+    (many ties), plus an offset of up to 1e8; one value or more."""
+    kind = draw(st.sampled_from(["floats", "raw", "integer", "half"]))
+    if kind == "floats":
+        values = np.array(
+            draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=max_size)), dtype=float
+        )
+    else:
+        n = draw(st.integers(1, max_size))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = rng.standard_t(3, size=n) * draw(st.sampled_from([0.5, 1.0, 3.0]))
+        if kind == "integer":
+            values = np.round(values)
+        elif kind == "half":
+            values = np.round(2.0 * values) / 2.0
+    return values + draw(st.sampled_from([0.0, -7.5, 1e3, 1e6, -1e8, 1e8]))
+
+
+class TestExactMad:
+    """``mad_cost`` is the exact sum of absolute deviations, rounded once,
+    and the incremental closure returns the same bits in any call order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=tied_series(), data=st.data())
+    def test_mad_cost_equals_exact_oracle(self, values, data):
+        a = data.draw(st.integers(0, values.size - 1))
+        b = data.draw(st.integers(a + 1, values.size))
+        assert mad_cost(series(values), a, b).hex() == exact_mad(values, a, b).hex()
+
+    @pytest.mark.parametrize("order", ["increasing", "random", "revisit"])
+    @settings(max_examples=60, deadline=None)
+    @given(values=tied_series(), data=st.data())
+    def test_closure_equals_mad_cost(self, order, values, data):
+        n = values.size
+        ts = series(values)
+        closure = make_cost_fn(ts, CostModel("mad"))
+        # increasing b for each start, starts interleaved as the engine does
+        calls = [(a, b) for b in range(1, n + 1) for a in range(b)]
+        if order == "random":
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            calls = [calls[i] for i in rng.permutation(len(calls))]
+        elif order == "revisit":
+            # after the increasing pass, go back to a smaller b per start
+            # and extend again in steps of one or two
+            for a in range(n):
+                cut = data.draw(st.integers(a + 1, n))
+                step = data.draw(st.integers(1, 2))
+                calls += [(a, b) for b in range(cut, n + 1, step)]
+        for a, b in calls:
+            assert closure(a, b).hex() == mad_cost(ts, a, b).hex(), (a, b)
+
+    def test_closure_at_subnormal_and_large_scales(self):
+        values = [5e-324, 1e150, -3.5, 2.0**-1070, 0.0, -1e150, 7.0]
+        ts = series(values)
+        closure = make_cost_fn(ts, CostModel("mad"))
+        for b in range(1, len(values) + 1):
+            for a in range(b):
+                assert closure(a, b).hex() == exact_mad(values, a, b).hex()
 
 
 class TestProperties:

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from svp import (
     INF_BIPOINT,
@@ -25,7 +27,7 @@ from svp import (
 
 from svp import engine
 from svp.bench import Scenario, generate
-from svp.validity import certainly_invalid
+from svp.validity import certainly_invalid, sidak_threshold, wilcoxon_threshold
 
 from oracles import brute_force_op, brute_force_svp, reference_run
 
@@ -424,6 +426,46 @@ class TestFeedCounts:
         result = svp_run(ts, gaussian_config(test), stat_trace=lambda s, t, v: calls.append(s))
         assert result.segmentation.boundaries == boundaries
         assert len(calls) == count
+
+
+class TestRankInvariance:
+    """A rank test sees only the order of the values, so a strictly
+    increasing transform keeps every segment's validity and with it the
+    segment count; the MAD cost only picks among equally short partitions."""
+
+    GAMMAS = {
+        "wilcoxon": [wilcoxon_threshold(x) for x in (5.0, 10.0, 20.0)],
+        "mood": [3.0] + [sidak_threshold(m, 0.01) for m in (1, 10)],
+    }
+    TRANSFORMS = [
+        lambda v: np.arctan(v) * 3.0 + 1.0,
+        lambda v: np.exp(v / 4.0),
+        lambda v: v**3 + v,
+        lambda v: 0.5 * v + 1e6,
+    ]
+
+    @pytest.mark.parametrize("sticky", [True, False], ids=["sticky", "plain"])
+    @pytest.mark.parametrize("kind", ["wilcoxon", "mood"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_segment_count_unchanged(self, kind, sticky, data):
+        n = data.draw(st.integers(2, 60))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.standard_t(3, size=n)
+        for _ in range(data.draw(st.integers(0, 3))):
+            values[int(rng.integers(0, n)) :] += rng.normal(scale=3.0)
+        if data.draw(st.booleans()):
+            values = np.round(2.0 * values) / 2.0
+        transformed = data.draw(st.sampled_from(self.TRANSFORMS))(values)
+        # the transform must keep the order and every distinct value distinct
+        assume(np.array_equal(np.argsort(values, kind="stable"),
+                              np.argsort(transformed, kind="stable")))
+        assume(np.unique(transformed).size == np.unique(values).size)
+        test = ValidityTest(kind, gamma=data.draw(st.sampled_from(self.GAMMAS[kind])),
+                            sticky=sticky)
+        config = EngineConfig(cost=CostModel("mad"), test=test)
+        k = svp_run(TimeSeries.from_values(values), config).segmentation.k
+        assert svp_run(TimeSeries.from_values(transformed), config).segmentation.k == k
 
 
 class TestMonotonicity:
