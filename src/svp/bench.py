@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DomainError, Segmentation, TimeSeries
+from .core import ConfigError, DomainError, Segmentation, TimeSeries
 from .costs import CostModel
 from .engine import EngineConfig, op_pelt_run, svp_run
 from .validity import ValidityTest, sidak_threshold, wilcoxon_threshold
@@ -165,7 +165,6 @@ class MetricsReport:
     f1: float
     detected: tuple[int, ...]
     matched_pairs: tuple[tuple[int, int], ...]
-    runtime: float = 0.0
 
 
 def match_and_score(
@@ -438,6 +437,8 @@ def run_runtime_study(
     same series.  "op-unpruned" is the optimal-partitioning baseline
     with ``prune=False``, a clean quadratic reference.
     """
+    if repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {repeats}")
     rows: list[RuntimeRow] = []
     for n in lengths:
         series = generate(Scenario(name="none", n=n, seed=seed))

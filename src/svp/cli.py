@@ -100,6 +100,8 @@ def _read_series_csv(path: str, column: Optional[str]) -> list[float]:
             index = int(column)
         except ValueError:
             index = None
+        if index is not None and index < 0:
+            raise _CliError(EXIT_BAD_FLAGS, f"column index must be 0 or more, got {index}")
     start = 0
     header = rows[0]
     if column is not None and index is None:
@@ -133,6 +135,8 @@ def _read_series_csv(path: str, column: Optional[str]) -> list[float]:
 
 
 def _resolve_gamma(args, n: int) -> tuple[float, str]:
+    if args.typical_len is not None and not math.isfinite(args.typical_len):
+        raise _CliError(EXIT_BAD_FLAGS, f"--typical-len must be finite, got {args.typical_len}")
     if (args.gamma is None) == (args.gamma_rule is None):
         raise _CliError(EXIT_BAD_FLAGS, "exactly one of --gamma / --gamma-rule is required")
     if args.gamma is not None:
@@ -322,7 +326,11 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get("SVP_THREADS", "1") or "1")
+        text = os.environ.get("SVP_THREADS", "1") or "1"
+        try:
+            workers = int(text)
+        except ValueError:
+            raise _CliError(EXIT_BAD_FLAGS, f"SVP_THREADS must be an integer, got {text!r}")
     if args.study == "runtime":
         rows = run_runtime_study(
             lengths=tuple(args.lengths),

@@ -8,15 +8,14 @@ Each step consults the group with the fewest segments first, in order
 of extended cost; for a gaussian cost and a large group that order comes
 from one numpy expression.  A start's validity state is created when a
 scan first reaches it and caught up only on demand, by one
-``ValidityState.catch_up`` call over the values it missed; that call
-also traces the statistics and applies the stable-test stop rule, and
-its answer is the segment's validity.  Under a sticky test, a start
-that has fallen far behind is first checked with one full-window
-statistic, ``certainly_invalid``; when that settles it, the start is
-dropped without a state ever being built or fed.  With a stable test,
-starts the scan finds invalid are dropped for good, so the runner touches
-one small group per step, which is what makes the incremental-GLR
-configuration scale near-linearly on change-free data.
+``ValidityState.catch_up`` call over the values it missed.  That call
+owns the rest of the validity protocol: tracing, the stable-test stop
+rule and, under a sticky test, the full-window check that settles a
+start the previous step did not reach without feeding it.  Its answer
+is the segment's validity, so the engine names no validity kind.  With
+a stable test, starts the scan finds invalid are dropped for good, so
+the runner touches one small group per step, which is what makes the
+incremental-GLR configuration scale near-linearly on change-free data.
 
 ``op_pelt_run`` is the penalized optimal-partitioning baseline; its
 ``prune`` flag applies the classic PELT inequality.
@@ -43,7 +42,7 @@ from .core import (
     backtrack,
 )
 from .costs import CostModel, make_cost_fn
-from .validity import ValidityTest, certainly_invalid, is_segment_valid
+from .validity import ValidityTest, is_segment_valid
 
 StatTrace = Callable[[int, int, float], None]
 
@@ -65,15 +64,6 @@ class EngineConfig:
 # them with numpy; below it numpy's per-call overhead loses to the scalar
 # closure and a Python sort (measured crossover: 48 to 64 starts).
 _ARRAY_SCAN_MIN = 48
-
-# A sticky start more than this many values behind is first checked with
-# one full-window statistic (``certainly_invalid``), which settles most
-# starts a catch-up would feed for hundreds of values only to kill.  Per
-# kind, the measured crossover where a catch-up costs as much as the check:
-# one check takes 35-50 us for GLR and Wilcoxon, 55-90 us for Mood and 6 us
-# for range on windows up to a few hundred values, against 4-6, 15-25,
-# 45-80 and 0.5 us per value caught up.
-_CERTIFY_BEHIND = {"glr_gaussian_focus": 10, "wilcoxon": 3, "mood": 1, "range": 10}
 
 
 class _Group:
@@ -122,8 +112,8 @@ def svp_run(
     ``stat_trace(s, t, value)`` is called for every validity statistic
     the run evaluates, which supports exactness audits: every prefix a
     sticky state is fed, the final statistic of a non-sticky catch-up,
-    and the full-window value (from ``segment_statistic``) that settles a
-    start without a catch-up.
+    and the full-window value with which ``ValidityState.catch_up``
+    settles a sticky start the previous step did not reach.
     """
     n = len(series)
     if config.min_seg_len > n:
@@ -151,26 +141,22 @@ def _run_lazy(
     frozen until then: ``catch_up`` replays the values they missed and
     says whether ``(s, t]`` is valid, calling ``trace`` for the
     statistics it evaluates, so the per-step work tracks the consulted
-    starts instead of the whole candidate set.  Under a sticky test, a
-    start more than ``_CERTIFY_BEHIND[kind]`` values behind is first
-    checked by ``certainly_invalid``: if the full-window statistic proves
-    it invalid, the value is traced and the start dropped, otherwise the
-    catch-up decides; both give the same answer.  Within a group, starts
-    are tried in increasing extended cost ``q + C(s, t)`` (ties to the
-    latest start) and the scan stops at the first valid one, which is the
-    group optimum.  Starts the scan finds invalid under a stable test are
-    deleted from their group right after that scan.  For a gaussian cost
-    and a group of more than ``_ARRAY_SCAN_MIN`` eligible starts, the
-    extended costs and their order come from one numpy expression over
-    arrays cached until the group changes; it rounds exactly like the
-    scalar cost closure.
+    starts instead of the whole candidate set.  Under a sticky test
+    ``catch_up`` first checks a start the previous step did not reach
+    with one full-window statistic, which settles most doomed starts
+    without a value fed.  Within a group, starts are tried in increasing
+    extended cost ``q + C(s, t)`` (ties to the latest start) and the scan
+    stops at the first valid one, which is the group optimum.  Starts the
+    scan finds invalid under a stable test are deleted from their group
+    right after that scan.  For a gaussian cost and a group of more than
+    ``_ARRAY_SCAN_MIN`` eligible starts, the extended costs and their
+    order come from one numpy expression over arrays cached until the
+    group changes; it rounds exactly like the scalar cost closure.
     """
     n = len(series)
-    values = series.values.tolist()
     test = config.test
     new_state = test.new_state
     kill = test.gamma_stable
-    certify = _CERTIFY_BEHIND.get(test.kind) if test.sticky else None
     min_len = config.min_seg_len
     cost_fn = make_cost_fn(series, config.cost)
     vectorize = config.cost.kind == "gaussian"
@@ -213,20 +199,11 @@ def _run_lazy(
             states = group.state
             dead: list[int] = []
             for i in order:
-                s = starts[i]
                 state = states[i]
-                fed = 0 if state is None else state.length
-                if certify is not None and t - s - fed > certify:
-                    v = certainly_invalid(series, s, t, test)
-                    if v is not None:
-                        if trace is not None:
-                            trace(s, t, v)
-                        dead.append(i)
-                        continue
                 if state is None:
-                    state = states[i] = new_state(s)
-                if state.catch_up(values, t, trace):
-                    found = (BiPoint(k + 1, float(q_total[i])), s)
+                    state = states[i] = new_state(starts[i])
+                if state.catch_up(series, t, trace):
+                    found = (BiPoint(k + 1, float(q_total[i])), starts[i])
                     break
                 elif kill:
                     dead.append(i)

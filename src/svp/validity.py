@@ -6,7 +6,9 @@ defining computation) and an incremental per-start state that
 owns the stop rule and the tracing, the engine only asks it whether a
 segment is valid.  The incremental statistics are exact, they equal the
 full rescan at every prefix length.  ``certainly_invalid`` lets the full
-scan settle a segment on its own when its value alone exceeds gamma.
+scan settle a segment on its own when its value alone exceeds gamma;
+under a sticky test ``catch_up`` asks it first for a state the previous
+step did not reach, so a doomed start costs one scan, not a catch-up.
 
 The sticky flag turns any test into a stable one: once a growing
 segment fails, every extension of it reports invalid.  The range test
@@ -94,22 +96,35 @@ class ValidityState:
             return not self.tripped
         return self.statistic <= self.test.gamma
 
-    def catch_up(self, values, upto: int, trace=None) -> bool:
-        """Feed ``values[start + length : upto]``, one ``feed`` per value.
+    def catch_up(self, series: TimeSeries, upto: int, trace=None) -> bool:
+        """Bring the state to ``(start, upto]`` and say whether it is valid.
 
-        Returns whether the segment ``(start, upto]`` is valid.  When given,
-        ``trace(start, end, statistic)`` is called for every statistic the
-        test evaluates: after each value under a sticky test, once at the
-        end otherwise.  Under a stable test the catch-up stops right after
-        the first value that leaves the state invalid and returns False;
-        that segment and every extension of it are invalid.
+        Feeds ``series.values[start + length : upto]``, one ``feed`` per
+        value.  Under a sticky test, a state more than one value behind
+        (the previous step did not reach this start) is first checked with
+        one full-window statistic, ``certainly_invalid``; when that
+        settles the segment, the state is marked tripped, nothing is fed
+        and the statistic is traced once as ``(start, upto, value)``.
+        Otherwise, when given, ``trace(start, end, statistic)`` is called
+        for every statistic the test evaluates: after each value under a
+        sticky test, once at the end otherwise.  Under a stable test the
+        catch-up stops right after the first value that leaves the state
+        invalid and returns False; that segment and every extension of it
+        are invalid.
         """
         start = self.start
         test = self.test
+        if test.sticky and upto - start - self.length > 1:
+            value = certainly_invalid(series, start, upto, test)
+            if value is not None:
+                self.tripped = True
+                if trace is not None:
+                    trace(start, upto, value)
+                return False
         stop = test.gamma_stable
         each = trace if test.sticky else None
-        while self.length < upto - start:
-            self.feed(values[start + self.length])
+        for value in series.values[start + self.length : upto].tolist():
+            self.feed(value)
             if each is not None:
                 each(start, start + self.length, self.statistic)
             if stop and not self.is_valid:
@@ -183,8 +198,7 @@ class FocusState(ValidityState):
     ``_pending`` and joins the lists only at the next value; it doubles as
     the current (prefix sum, length, fit).  The lists start with the
     anchor (0.0, 0, 0.0), which pruning compares against and never drops;
-    it evaluates to exactly 0.0.  ``piece_count`` counts the listed
-    pieces, not the pending one.
+    it evaluates to exactly 0.0.
     """
 
     __slots__ = ("_pending", "_lo", "_hi")
@@ -230,10 +244,6 @@ class FocusState(ValidityState):
                 if val > best:
                     best = val
         return best
-
-    @property
-    def piece_count(self) -> int:
-        return len(self._hi) + len(self._lo)
 
 
 def _grown(buf: np.ndarray, needed: int) -> np.ndarray:

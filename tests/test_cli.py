@@ -146,6 +146,16 @@ class TestDetect:
         assert main(["detect", "--input", str(good), "--gamma", "1", "--min-seg-len", "4",
                      "--out", out]) == 4
         assert main(["detect", "--input", str(good), "--gamma", "-1", "--out", out]) == 4
+        columns = tmp_path / "cols.csv"
+        columns.write_text("a,b\n1.0,10.0\n2.0,20.0\n3.0,30.0\n")
+        for index in ("-1", "-2"):  # not counted from the end
+            assert main(["detect", "--input", str(columns), "--column", index, "--test", "range",
+                         "--gamma", "100", "--out", out]) == 4
+            assert "column index" in capsys.readouterr().err
+        for typical in ("nan", "inf", "-inf"):
+            assert main(["detect", "--input", str(good), "--test", "mood", "--gamma-rule",
+                         "mood:0.01", f"--typical-len={typical}", "--out", out]) == 4
+            assert "--typical-len must be finite" in capsys.readouterr().err
 
     def test_gamma_rules_wilcoxon_and_mood(self, tmp_path):
         csv_path = tmp_path / "w.csv"
@@ -251,3 +261,20 @@ class TestBench:
         doc = json.loads(json_path.read_text())
         assert set(doc["loglog_slopes"]) == {"svp-glr", "op-unpruned"}
         assert len(doc["rows"]) == 6
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_runtime_study_rejects_no_repeats(self, tmp_path, capsys, repeats):
+        json_path = tmp_path / "runtime.json"
+        code = main(["bench", "--study", "runtime", "--lengths", "50", "100",
+                     "--repeats", repeats, "--out-json", str(json_path)])
+        assert code == 4
+        assert "repeats must be at least 1" in capsys.readouterr().err
+        assert not json_path.exists()
+
+    def test_non_integer_thread_count_is_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SVP_THREADS", "abc")
+        code = main(["bench", "--study", "f1", "--scenarios", "none", "--methods", "svp-glr",
+                     "--jumps", "1.0", "--replicates", "1", "--n", "50",
+                     "--out-json", str(tmp_path / "summary.json")])
+        assert code == 4
+        assert "SVP_THREADS must be an integer, got 'abc'" in capsys.readouterr().err

@@ -25,7 +25,7 @@ from svp import (
     svp_run,
 )
 
-from svp import engine
+from svp import engine, validity
 from svp.bench import Scenario, generate
 from svp.validity import certainly_invalid, sidak_threshold, wilcoxon_threshold
 
@@ -379,7 +379,7 @@ class TestCertificateDifferential:
             settled.append(value is not None)
             return value
 
-        monkeypatch.setattr(engine, "certainly_invalid", spy)
+        monkeypatch.setattr(validity, "certainly_invalid", spy)
         base = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=5)).values
         ts = TimeSeries.from_values(np.round(2.0 * base) / 2.0 + offset)
         config = EngineConfig(
@@ -403,6 +403,21 @@ class TestFeedCounts:
         result = svp_run(ts, gaussian_config(test), stat_trace=lambda s, t, v: calls.append(s))
         assert result.segmentation.boundaries == (0, n)
         assert len(calls) == n
+
+    def test_change_free_sticky_glr_never_checks_a_full_window(self, monkeypatch):
+        # every step reaches the one consulted start, so it is never behind
+        checked = []
+
+        def spy(series, s, t, test):
+            checked.append((s, t))
+            return certainly_invalid(series, s, t, test)
+
+        monkeypatch.setattr(validity, "certainly_invalid", spy)
+        n = 2000
+        ts = generate(Scenario(name="none", n=n, seed=7))
+        test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
+        assert svp_run(ts, gaussian_config(test)).segmentation.boundaries == (0, n)
+        assert checked == []
 
     @pytest.mark.parametrize(
         "kind,gamma,sticky,boundaries,count",

@@ -23,6 +23,7 @@ from svp import (
     wilcoxon_scan,
     wilcoxon_threshold,
 )
+from svp import validity
 from svp.validity import VALIDITY_KINDS, certainly_invalid
 
 from oracles import (
@@ -188,7 +189,7 @@ class TestExactness:
             state = ValidityTest("glr_gaussian_focus", gamma=1e18).new_state(0)
             for v in values:
                 state.feed(float(v))
-            counts.append(state.piece_count)
+            counts.append(len(state._hi) + len(state._lo))
         mean_count = float(np.mean(counts))
         assert mean_count <= 6.0 * math.log(400)
 
@@ -234,7 +235,7 @@ class TestStability:
 class TestCatchUp:
     """``catch_up`` answers validity, traces, and stops early only under a stable test."""
 
-    VALUES = [0.0, 0.1, -0.1, 0.0, 5.0, 5.1, 4.9, 5.0, 0.0, 0.1]
+    SERIES = TimeSeries.from_values([0.0, 0.1, -0.1, 0.0, 5.0, 5.1, 4.9, 5.0, 0.0, 0.1])
 
     @pytest.mark.parametrize(
         "kind,sticky,gamma,stable",
@@ -246,30 +247,48 @@ class TestCatchUp:
         ],
     )
     def test_invalid_segment(self, kind, sticky, gamma, stable):
-        start, upto = 2, len(self.VALUES)
+        start, upto = 2, len(self.SERIES)
         state = ValidityTest(kind, gamma, sticky).new_state(start)
         trace = []
-        valid = state.catch_up(self.VALUES, upto, lambda s, t, v: trace.append((s, t)))
+        valid = state.catch_up(self.SERIES, upto, lambda s, t, v: trace.append((s, t, v)))
         assert valid == state.is_valid
         assert not valid
-        if stable:
-            assert state.length < upto - start
-        else:
-            assert state.length == upto - start
         if sticky:
-            assert trace == [(start, start + u) for u in range(1, state.length + 1)]
+            # 8 values behind: the full-window statistic settles it, nothing is fed
+            assert state.length == 0
+            assert [(s, t) for s, t, _ in trace] == [(start, upto)]
+            assert trace[0][2] > gamma
         elif stable:
+            assert 0 < state.length < upto - start
             assert trace == []
         else:
-            assert trace == [(start, upto)]
+            assert state.length == upto - start
+            assert [(s, t) for s, t, _ in trace] == [(start, upto)]
+
+    def test_one_value_behind_is_fed_not_checked(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(
+            validity, "certainly_invalid", lambda *args: checked.append(args[1:3])
+        )
+        state = ValidityTest("glr_gaussian_focus", 2.0, sticky=True).new_state(0)
+        for value in self.SERIES.values[:4].tolist():
+            state.feed(value)
+        assert state.is_valid
+        trace = []
+        # the next value is the jump, which a full-window check would settle
+        valid = state.catch_up(self.SERIES, 5, lambda s, t, v: trace.append((s, t, v)))
+        assert not valid and state.tripped
+        assert state.length == 5
+        assert trace == [(0, 5, state.statistic)]
+        assert checked == []
 
     @pytest.mark.parametrize("kind", ["glr_gaussian_focus", "wilcoxon", "mood", "range"])
     def test_resumes_from_its_length(self, kind):
         state = ValidityTest(kind, 1e9, sticky=True).new_state(3)
-        assert state.catch_up(self.VALUES, 6) == state.is_valid
+        assert state.catch_up(self.SERIES, 6) == state.is_valid
         assert state.length == 3
         trace = []
-        valid = state.catch_up(self.VALUES, 10, lambda s, t, v: trace.append((s, t, v)))
+        valid = state.catch_up(self.SERIES, 10, lambda s, t, v: trace.append((s, t, v)))
         assert valid == state.is_valid
         assert valid
         assert state.length == 7
@@ -327,10 +346,15 @@ class TestCertificate:
             )
         )
         test = ValidityTest(kind, gamma=gamma, sticky=True)
+        # the reference feeds every value: ``catch_up`` holds the check under test
         state = test.new_state(s)
-        state.catch_up(listed, data.draw(st.integers(s, t)))
+        for x in listed[s:t]:
+            state.feed(x)
+        valid = state.is_valid
         value = certainly_invalid(ts, s, t, test)
-        valid = state.catch_up(listed, t)
+        resumed = test.new_state(s)
+        resumed.catch_up(ts, data.draw(st.integers(s, t)))
+        assert resumed.catch_up(ts, t) == valid
         if value is not None:
             assert not valid
             assert value > gamma
