@@ -12,7 +12,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -276,17 +276,7 @@ class StudyRow:
     runtime_s: float
 
 
-RESULT_COLUMNS = (
-    "scenario",
-    "method",
-    "jump",
-    "replicate",
-    "precision",
-    "recall",
-    "f1",
-    "k_detected",
-    "runtime_s",
-)
+RESULT_COLUMNS = tuple(f.name for f in fields(StudyRow))
 
 
 def _run_cell(args: tuple) -> StudyRow:
@@ -467,7 +457,9 @@ def run_runtime_study(
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
-    """Least-squares slope of log(time) against log(n)."""
+    """Least-squares slope of log(time) against log(n), from two or more distinct n."""
+    if len({p[0] for p in points}) < 2:
+        raise DomainError("a log-log slope needs at least two distinct lengths")
     xs = np.log([p[0] for p in points])
     ys = np.log([p[1] for p in points])
     return float(np.polyfit(xs, ys, 1)[0])

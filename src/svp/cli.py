@@ -135,8 +135,11 @@ def _read_series_csv(path: str, column: Optional[str]) -> list[float]:
 
 
 def _resolve_gamma(args, n: int) -> tuple[float, str]:
-    if args.typical_len is not None and not math.isfinite(args.typical_len):
-        raise _CliError(EXIT_BAD_FLAGS, f"--typical-len must be finite, got {args.typical_len}")
+    typical_len = args.typical_len
+    if typical_len is not None and not math.isfinite(typical_len):
+        raise _CliError(EXIT_BAD_FLAGS, f"--typical-len must be finite, got {typical_len}")
+    if typical_len is not None and typical_len <= 0:
+        raise _CliError(EXIT_BAD_FLAGS, f"--typical-len must be positive, got {typical_len:g}")
     if (args.gamma is None) == (args.gamma_rule is None):
         raise _CliError(EXIT_BAD_FLAGS, "exactly one of --gamma / --gamma-rule is required")
     if args.gamma is not None:
@@ -157,7 +160,7 @@ def _resolve_gamma(args, n: int) -> tuple[float, str]:
             alpha = float(rule.split(":", 1)[1])
         except ValueError:
             raise _CliError(EXIT_BAD_FLAGS, f"bad gamma rule {rule!r}")
-        typical = args.typical_len if args.typical_len is not None else n
+        typical = typical_len if typical_len is not None else n
         return sidak_threshold(max(1, round(typical) - 1), alpha), rule
     raise _CliError(EXIT_BAD_FLAGS, f"unknown gamma rule {rule!r}")
 

@@ -1,13 +1,16 @@
 """Segment cost functions on half-open index ranges (a, b].
 
 Gaussian and Poisson costs are evaluated in constant time from the
-precomputed cumulative statistics.  The MAD cost is the exact sum of
-absolute deviations from the median, rounded once: ``mad_cost`` sorts
-the segment, and the closure of ``make_cost_fn`` keeps one sorted window
-per start and extends it value by value.  The quantile cost sorts the
-segment on every call.  The Poisson domain (nonnegative values) is
-checked per segment by ``poisson_cost`` and ``cost``, and once per series
-when ``make_cost_fn`` binds the Poisson closure, which then skips it.
+precomputed cumulative statistics; the gaussian expression lives in
+``gaussian_costs``, which costs arrays of segments at once, and in the
+scalar closure of ``make_cost_fn`` for hot loops.  The MAD cost is the
+exact sum of absolute deviations from the median, rounded once:
+``mad_cost`` sorts the segment, and the closure of ``make_cost_fn``
+keeps one sorted window per start and extends it value by value.  The
+quantile cost sorts the segment on every call.  The Poisson domain
+(nonnegative values) is checked per segment by ``poisson_cost`` and
+``cost``, and once per series when ``make_cost_fn`` binds the Poisson
+closure, which then skips it.
 """
 
 from __future__ import annotations
@@ -43,13 +46,21 @@ def _check_range(series: TimeSeries, a: int, b: int) -> None:
         raise InvalidRangeError(f"segment ({a}, {b}] is not a valid range for n={len(series)}")
 
 
+def gaussian_costs(cs: np.ndarray, css: np.ndarray, a, b):
+    """Gaussian costs of the segments (a, b] from cumulative sums.
+
+    ``a`` and ``b`` are indices or integer arrays that broadcast; the
+    result rounds exactly like the scalar closure of ``make_cost_fn``.
+    """
+    s = cs[b] - cs[a]
+    # Cancellation can leave a tiny negative residue; the cost is >= 0.
+    return np.maximum(0.5 * (css[b] - css[a] - s * s / (b - a)), 0.0)
+
+
 def gaussian_cost(series: TimeSeries, a: int, b: int) -> float:
     """Half the within-segment sum of squared deviations from the mean."""
     _check_range(series, a, b)
-    s = float(series.cumsum[b] - series.cumsum[a])
-    ss = float(series.cumsum_sq[b] - series.cumsum_sq[a])
-    # Cancellation can leave a tiny negative residue; the cost is >= 0.
-    return max(0.5 * (ss - s * s / (b - a)), 0.0)
+    return float(gaussian_costs(series.cumsum, series.cumsum_sq, a, b))
 
 
 def poisson_cost(series: TimeSeries, a: int, b: int) -> float:

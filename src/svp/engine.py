@@ -41,7 +41,7 @@ from .core import (
     TimeSeries,
     backtrack,
 )
-from .costs import CostModel, make_cost_fn
+from .costs import CostModel, gaussian_costs, make_cost_fn
 from .validity import ValidityTest, is_segment_valid
 
 StatTrace = Callable[[int, int, float], None]
@@ -150,7 +150,7 @@ def _run_lazy(
     scan finds invalid under a stable test are deleted from their group
     right after that scan.  For a gaussian cost and a group of more than
     ``_ARRAY_SCAN_MIN`` eligible starts, the extended costs and their
-    order come from one numpy expression over arrays cached until the
+    order come from ``gaussian_costs`` over arrays cached until the
     group changes; it rounds exactly like the scalar cost closure.
     """
     n = len(series)
@@ -187,9 +187,7 @@ def _run_lazy(
                     group.arrays = (s_arr, -s_arr, np.array(q))
                 s_arr, neg_s, q_arr = group.arrays
                 s_arr, neg_s, q_arr = s_arr[:m], neg_s[:m], q_arr[:m]
-                d = cs[t] - cs[s_arr]
-                c = 0.5 * ((css[t] - css[s_arr]) - d * d / (t - s_arr))
-                q_total = np.where(c > 0.0, c, 0.0) + q_arr
+                q_total = gaussian_costs(cs, css, s_arr, t) + q_arr
                 order = np.lexsort((neg_s, q_total)).tolist()
             else:
                 q_total = [q[i] + cost_fn(starts[i], t) for i in range(m)]

@@ -1,11 +1,15 @@
 """Single-change validity tests f(segment) <= gamma.
 
 Each test comes in two forms: a standalone full-window scan (the
-defining computation) and an incremental per-start state that
+defining computation) and a per-start state that
 ``ValidityState.catch_up`` feeds one observation at a time; the state
 owns the stop rule and the tracing, the engine only asks it whether a
-segment is valid.  The incremental statistics are exact, they equal the
-full rescan at every prefix length.  ``certainly_invalid`` lets the full
+segment is valid.  The range, GLR and Wilcoxon states update their
+statistic incrementally, and it equals the full rescan at every prefix
+length (the GLR one up to rounding); Mood's pooled median moves with
+every value, so its state is its own scan, ``mood_scan``, over a
+buffered window.  The GLR scan takes its gaussian costs from the cost
+layer's ``gaussian_costs``.  ``certainly_invalid`` lets the full
 scan settle a segment on its own when its value alone exceeds gamma;
 under a sticky test ``catch_up`` asks it first for a state the previous
 step did not reach, so a doomed start costs one scan, not a catch-up.
@@ -18,13 +22,14 @@ has that property natively (max - min never shrinks under extension).
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
 
 from .core import DomainError, InvalidRangeError, TimeSeries
+from .costs import gaussian_costs
 
 @dataclass(frozen=True)
 class ValidityTest:
@@ -158,30 +163,21 @@ class RangeState(ValidityState):
         return self._hi - self._lo
 
 
-def _glr_max_gain(cs: np.ndarray, css: np.ndarray, a: int, b: int) -> float:
-    """Max over interior splits of C(a,b) - C(a,u) - C(u,b), gaussian cost."""
-    if b - a < 2:
-        return 0.0
-    s_full = cs[b] - cs[a]
-    ss_full = css[b] - css[a]
-    c_full = max(0.5 * (ss_full - s_full * s_full / (b - a)), 0.0)
-    taus = np.arange(a + 1, b)
-    sl = cs[taus] - cs[a]
-    cl = np.maximum(0.5 * (css[taus] - css[a] - sl * sl / (taus - a)), 0.0)
-    sr = cs[b] - cs[taus]
-    cr = np.maximum(0.5 * (css[b] - css[taus] - sr * sr / (b - taus)), 0.0)
-    return float(max(np.max(c_full - cl - cr), 0.0))
-
-
 def glr_scan_naive(series: TimeSeries, a: int, b: int) -> float:
     """Gaussian likelihood-ratio scan over all interior split points.
 
-    Splits leave both sides non-empty; a segment too short to split
-    scores 0, the minimal element.
+    The gain of a split u is C(a,b) - C(a,u) - C(u,b) with the gaussian
+    cost of ``gaussian_costs``; C(a,u) for u = a+1..b is one vector whose
+    last element is C(a,b).  Splits leave both sides non-empty; a segment
+    too short to split scores 0, the minimal element.
     """
     if not (0 <= a < b <= len(series)):
         raise InvalidRangeError(f"segment ({a}, {b}] is not a valid range for n={len(series)}")
-    return _glr_max_gain(series.cumsum, series.cumsum_sq, a, b)
+    if b - a < 2:
+        return 0.0
+    left = gaussian_costs(series.cumsum, series.cumsum_sq, a, np.arange(a + 1, b + 1))
+    right = gaussian_costs(series.cumsum, series.cumsum_sq, np.arange(a + 1, b), b)
+    return float(max(np.max(left[-1] - left[:-1] - right), 0.0))
 
 
 class FocusState(ValidityState):
@@ -316,15 +312,21 @@ def wilcoxon_scan(window) -> float:
     return float(np.abs(w).max())
 
 
-def _mood_table_max(vals: np.ndarray, med: float) -> float:
-    """Max over splits of the 2x2 chi-square around a given pooled median.
+def mood_scan(window) -> float:
+    """Max over splits of Mood's 2x2 median chi-square on a window.
 
-    Cells with zero expected count contribute 0 (a degenerate column,
-    e.g. constant data, then declares no change).
+    The table at split u counts the values at most the pooled median on
+    each side.  Cells with zero expected count contribute 0 (a degenerate
+    column, e.g. constant data, then declares no change).
     """
+    vals = np.asarray(window, dtype=np.float64)
     size = vals.size
-    below = vals <= med
-    cum = np.cumsum(below)
+    if size < 2:
+        return 0.0
+    srt = np.sort(vals)
+    half = size // 2
+    med = float(srt[half]) if size % 2 else 0.5 * (float(srt[half - 1]) + float(srt[half]))
+    cum = np.cumsum(vals <= med)
     total_m = float(cum[-1])
     total_p = size - total_m
     u = np.arange(1, size, dtype=np.float64)
@@ -344,42 +346,26 @@ def _mood_table_max(vals: np.ndarray, med: float) -> float:
     return float(stat.max())
 
 
-def mood_scan(window) -> float:
-    """Max over splits of Mood's median chi-square on a window."""
-    vals = np.asarray(window, dtype=np.float64)
-    size = vals.size
-    if size < 2:
-        return 0.0
-    srt = np.sort(vals)
-    half = size // 2
-    med = float(srt[half]) if size % 2 else 0.5 * (float(srt[half - 1]) + float(srt[half]))
-    return _mood_table_max(vals, med)
-
-
 class MoodState(ValidityState):
-    """Mood median scan; the pooled median shifts, so every push rescans."""
+    """Mood median scan over a buffered window.
 
-    __slots__ = ("_vals", "_sorted")
+    The pooled median moves with every value, so no per-split count
+    carries over a push; each evaluation is ``mood_scan`` on the window.
+    """
+
+    __slots__ = ("_vals",)
 
     def __init__(self, test: ValidityTest, start: int):
         super().__init__(test, start)
         self._vals = np.empty(8, dtype=np.float64)
-        self._sorted: list[float] = []
 
     def _advance(self, value: float) -> None:
         m = self.length - 1
         self._vals = _grown(self._vals, m + 1)
         self._vals[m] = value
-        insort(self._sorted, value)
 
     def _evaluate(self) -> float:
-        size = self.length
-        if size < 2:
-            return 0.0
-        sl = self._sorted
-        half = size // 2
-        med = sl[half] if size % 2 else 0.5 * (sl[half - 1] + sl[half])
-        return _mood_table_max(self._vals[:size], med)
+        return mood_scan(self._vals[: self.length])
 
 
 _STATE_CLASSES: dict[str, type[ValidityState]] = {
@@ -465,41 +451,12 @@ def sidak_threshold(num_splits: int, alpha: float) -> float:
 def chi2_quantile_1df(p: float) -> float:
     """Quantile of the chi-square distribution with one degree of freedom.
 
-    Uses the identity P(1/2, x/2) = erf(sqrt(x/2)) to invert the
-    regularized incomplete gamma via erf inversion.
+    A chi-square(1) variable is the square of a standard normal one, so
+    the p quantile is z**2 with z the normal (1 - p)/2 quantile.  Taking
+    the lower tail keeps full relative accuracy as p approaches 1, where
+    the Sidak thresholds lie.
     """
     if not 0.0 <= p < 1.0:
         raise DomainError("probability must lie in [0, 1)")
-    if p == 0.0:
-        return 0.0
-    z = _erfinv(p)
-    return 2.0 * z * z
-
-
-def _erfinv(p: float) -> float:
-    """Inverse of erf on [0, 1), Newton iteration with a bisection guard."""
-    if p == 0.0:
-        return 0.0
-    # Winitzki-style starting point.
-    a = 0.147
-    ln1m = math.log1p(-p * p)
-    t = 2.0 / (math.pi * a) + ln1m / 2.0
-    z = math.sqrt(math.sqrt(t * t - ln1m / a) - t)
-    lo, hi = 0.0, max(z, 1.0)
-    while math.erf(hi) < p:
-        lo, hi = hi, hi * 2.0
-    c = 2.0 / math.sqrt(math.pi)
-    for _ in range(60):
-        err = math.erf(z) - p
-        if err > 0.0:
-            hi = z
-        else:
-            lo = z
-        step = err / (c * math.exp(-z * z))
-        z_new = z - step
-        if not (lo < z_new < hi):
-            z_new = 0.5 * (lo + hi)
-        if abs(z_new - z) <= 1e-15 * max(1.0, z):
-            return z_new
-        z = z_new
-    return z
+    z = NormalDist().inv_cdf(0.5 * (1.0 - p))
+    return z * z

@@ -236,6 +236,12 @@ class TestSlopeFit:
         points = [(n, 3e-6 * n**1.1) for n in (1000, 2000, 4000, 8000)]
         assert fit_loglog_slope(points) == pytest.approx(1.1, abs=1e-9)
 
+    @pytest.mark.parametrize("lengths", [(200,), (200, 200)])
+    def test_needs_two_distinct_lengths(self, lengths):
+        points = [(n, 1e-3 * (i + 1)) for i, n in enumerate(lengths)]
+        with pytest.raises(DomainError):
+            fit_loglog_slope(points)
+
 
 class TestProp2Audit:
     def test_small_audit_clean(self):

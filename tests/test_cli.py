@@ -156,6 +156,10 @@ class TestDetect:
             assert main(["detect", "--input", str(good), "--test", "mood", "--gamma-rule",
                          "mood:0.01", f"--typical-len={typical}", "--out", out]) == 4
             assert "--typical-len must be finite" in capsys.readouterr().err
+        for typical in ("0", "-5"):  # not clamped to one split
+            assert main(["detect", "--input", str(good), "--test", "mood", "--gamma-rule",
+                         "mood:0.01", f"--typical-len={typical}", "--out", out]) == 4
+            assert f"--typical-len must be positive, got {typical}" in capsys.readouterr().err
 
     def test_gamma_rules_wilcoxon_and_mood(self, tmp_path):
         csv_path = tmp_path / "w.csv"
@@ -269,6 +273,15 @@ class TestBench:
                      "--repeats", repeats, "--out-json", str(json_path)])
         assert code == 4
         assert "repeats must be at least 1" in capsys.readouterr().err
+        assert not json_path.exists()
+
+    @pytest.mark.parametrize("lengths", [["200"], ["200", "200"]])
+    def test_runtime_study_rejects_a_single_length(self, tmp_path, capsys, lengths):
+        json_path = tmp_path / "runtime.json"
+        code = main(["bench", "--study", "runtime", "--lengths", *lengths,
+                     "--repeats", "1", "--out-json", str(json_path)])
+        assert code == 4
+        assert "two distinct lengths" in capsys.readouterr().err
         assert not json_path.exists()
 
     def test_non_integer_thread_count_is_rejected(self, tmp_path, capsys, monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svp import CostModel, DomainError, InvalidRangeError, TimeSeries, cost
-from svp.costs import mad_cost, make_cost_fn, poisson_cost
+from svp.costs import gaussian_costs, mad_cost, make_cost_fn, poisson_cost
 
 from oracles import exact_mad, naive_cost
 
@@ -106,6 +106,47 @@ class TestPoissonClosure:
             for a in range(0, 120, 3):
                 for b in range(a + 1, 121, 2):
                     assert closure(a, b) == poisson_cost(ts, a, b)
+
+
+class TestGaussianCosts:
+    """``gaussian_costs`` rounds like the scalar closure, in both array shapes."""
+
+    @staticmethod
+    def runs_at_offset():
+        # Constant runs at a large offset: cancellation leaves negative
+        # residues, so the clamp to 0 is exercised.
+        rng = np.random.default_rng(15)
+        levels = np.round(rng.normal(0.0, 2.0, size=12), 1)
+        values = np.repeat(levels, rng.integers(3, 15, size=12)) + 1e6
+        values[rng.integers(0, values.size, size=8)] += 0.5
+        return series(values)
+
+    def test_clamp_fires(self):
+        ts = self.runs_at_offset()
+        cs, css = ts.cumsum, ts.cumsum_sq
+        negative = 0
+        for a in range(len(ts)):
+            ends = np.arange(a + 1, len(ts) + 1)
+            d = cs[ends] - cs[a]
+            negative += int((0.5 * (css[ends] - css[a] - d * d / (ends - a)) < 0.0).sum())
+        assert negative > 0
+
+    def test_starts_against_fixed_end(self):
+        ts = self.runs_at_offset()
+        closure = make_cost_fn(ts, CostModel("gaussian"))
+        for t in range(1, len(ts) + 1):
+            starts = np.arange(t)
+            got = gaussian_costs(ts.cumsum, ts.cumsum_sq, starts, t)
+            assert [float(c).hex() for c in got] == [closure(a, t).hex() for a in range(t)]
+
+    def test_fixed_start_against_ends(self):
+        ts = self.runs_at_offset()
+        closure = make_cost_fn(ts, CostModel("gaussian"))
+        n = len(ts)
+        for a in range(n):
+            ends = np.arange(a + 1, n + 1)
+            got = gaussian_costs(ts.cumsum, ts.cumsum_sq, a, ends)
+            assert [float(c).hex() for c in got] == [closure(a, int(b)).hex() for b in ends]
 
 
 @st.composite

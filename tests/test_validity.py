@@ -437,3 +437,11 @@ class TestThresholds:
         for p in (0.01, 0.2, 0.5, 0.77, 0.99, 0.9999):
             x = chi2_quantile_1df(p)
             assert math.erf(math.sqrt(x / 2.0)) == pytest.approx(p, abs=1e-10)
+
+    @pytest.mark.parametrize("tail", [1e-6, 1e-9, 1e-12])
+    def test_chi2_quantile_keeps_relative_accuracy_near_one(self, tail):
+        # Sidak thresholds sit at p close to 1; the upper tail must invert
+        # to full relative precision there, not only to abs=1e-10.
+        p = 1.0 - tail
+        x = chi2_quantile_1df(p)
+        assert math.erfc(math.sqrt(x / 2.0)) == pytest.approx(1.0 - p, rel=1e-12, abs=0.0)
