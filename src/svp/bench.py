@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -35,12 +36,10 @@ def _mix64(z: int) -> int:
 def uniforms(seed: int, count: int) -> np.ndarray:
     """Uniform draws in (0, 1] from the counter stream of ``seed``."""
     base = _mix64((seed & _MASK) ^ 0xD1B54A32D192ED03)
-    out = np.empty(count, dtype=np.float64)
-    scale = 2.0**-53
-    for i in range(count):
-        z = _mix64((base + (i + 1) * _GOLDEN) & _MASK)
-        out[i] = ((z >> 11) + 1) * scale
-    return out
+    # uint64 arithmetic wraps, which is the & _MASK of the scalar mixer
+    counters = np.arange(1, count + 1, dtype=np.uint64)
+    z = _mix64(np.uint64(base) + counters * np.uint64(_GOLDEN))
+    return ((z >> 11) + 1) * 2.0**-53
 
 
 def normals(seed: int, count: int) -> np.ndarray:
@@ -205,15 +204,44 @@ def match_and_score(
     )
 
 
-METHOD_NAMES = (
-    "pelt",
-    "pelt-bic15",
-    "svp-glr",
-    "svp-glr-bic15",
-    "svp-glr-plain",
-    "svp-wilcoxon",
-    "svp-mood",
-)
+def resolve_gamma(rule: str, n: int, typical: float) -> float:
+    """Gamma (or penalty) of a named rule for a series of length ``n``.
+
+    ``bic`` is 2 log n and ``bic15`` 1.5 log n.  ``wilcoxon:<len>`` and
+    ``mood:<alpha>`` scale with a typical segment length: the one given
+    after ``wilcoxon:``, else ``typical``, which a bare ``wilcoxon`` uses.
+    """
+    name, colon, arg = rule.partition(":")
+    if rule == "bic":
+        return 2.0 * math.log(n)
+    if rule == "bic15":
+        return 1.5 * math.log(n)
+    if rule == "wilcoxon":
+        return wilcoxon_threshold(typical)
+    if colon and name in ("wilcoxon", "mood"):
+        try:
+            value = float(arg)
+        except ValueError:
+            raise ConfigError(f"bad gamma rule {rule!r}")
+        if name == "wilcoxon":
+            return wilcoxon_threshold(value)
+        return sidak_threshold(max(1, round(typical) - 1), value)
+    raise ConfigError(f"unknown gamma rule {rule!r}")
+
+
+# name: (cost kind, validity kind or None for penalized optimal
+# partitioning, gamma or penalty rule, sticky for svp or prune for OP)
+METHODS = {
+    "pelt": ("gaussian", None, "bic", True),
+    "pelt-bic15": ("gaussian", None, "bic15", True),
+    "op-unpruned": ("gaussian", None, "bic", False),
+    "svp-glr": ("gaussian", "glr_gaussian_focus", "bic", True),
+    "svp-glr-bic15": ("gaussian", "glr_gaussian_focus", "bic15", True),
+    "svp-glr-plain": ("gaussian", "glr_gaussian_focus", "bic", False),
+    "svp-wilcoxon": ("mad", "wilcoxon", "wilcoxon", True),
+    "svp-mood": ("mad", "mood", "mood:0.01", True),
+}
+METHOD_NAMES = tuple(METHODS)
 
 
 def make_detector(method: str, n: int, true_k: int) -> Callable[[TimeSeries], Segmentation]:
@@ -222,31 +250,15 @@ def make_detector(method: str, n: int, true_k: int) -> Callable[[TimeSeries], Se
     Rank-test thresholds use the oracle typical segment length n / K, so
     the harness resolves them from the scenario truth.
     """
-    bic = 2.0 * math.log(n)
-    bic15 = 1.5 * math.log(n)
-    typical = n / true_k
-
-    def svp(cost_kind: str, test: ValidityTest) -> Callable[[TimeSeries], Segmentation]:
-        config = EngineConfig(cost=CostModel(cost_kind), test=test)
-        return lambda series: svp_run(series, config).segmentation
-
-    if method == "pelt":
-        return lambda series: op_pelt_run(series, CostModel("gaussian"), bic)[1]
-    if method == "pelt-bic15":
-        return lambda series: op_pelt_run(series, CostModel("gaussian"), bic15)[1]
-    if method == "svp-glr":
-        return svp("gaussian", ValidityTest("glr_gaussian_focus", gamma=bic, sticky=True))
-    if method == "svp-glr-bic15":
-        return svp("gaussian", ValidityTest("glr_gaussian_focus", gamma=bic15, sticky=True))
-    if method == "svp-glr-plain":
-        return svp("gaussian", ValidityTest("glr_gaussian_focus", gamma=bic, sticky=False))
-    if method == "svp-wilcoxon":
-        gamma = wilcoxon_threshold(typical)
-        return svp("mad", ValidityTest("wilcoxon", gamma=gamma, sticky=True))
-    if method == "svp-mood":
-        gamma = sidak_threshold(max(1, round(typical) - 1), 0.01)
-        return svp("mad", ValidityTest("mood", gamma=gamma, sticky=True))
-    raise DomainError(f"unknown method {method!r}, expected one of {METHOD_NAMES}")
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}, expected one of {METHOD_NAMES}")
+    cost_kind, test_kind, rule, flag = METHODS[method]
+    gamma = resolve_gamma(rule, n, n / true_k)
+    model = CostModel(cost_kind)
+    if test_kind is None:
+        return lambda series: op_pelt_run(series, model, gamma, prune=flag)[1]
+    config = EngineConfig(cost=model, test=ValidityTest(test_kind, gamma=gamma, sticky=flag))
+    return lambda series: svp_run(series, config).segmentation
 
 
 @dataclass(frozen=True)
@@ -308,6 +320,22 @@ def _run_cell(args: tuple) -> StudyRow:
     )
 
 
+def _guarded_cell(cell: tuple) -> StudyRow | dict:
+    """The cell's row, or a failure record if it crashed: one crashed cell
+    must not cost the study its other results."""
+    try:
+        return _run_cell(cell)
+    except Exception as exc:
+        scenario, method, jump, replicate, _ = cell
+        return {
+            "scenario": scenario,
+            "method": method,
+            "jump": jump,
+            "replicate": replicate,
+            "error": f"{type(exc).__name__}: {exc}",
+        }
+
+
 def run_study(config: StudyConfig) -> tuple[list[StudyRow], dict]:
     """Run the scenario grid and aggregate per-cell mean metrics.
 
@@ -321,34 +349,14 @@ def run_study(config: StudyConfig) -> tuple[list[StudyRow], dict]:
         for method in config.methods
         for replicate in range(config.replicates)
     ]
-    rows: list[StudyRow] = []
-    failures: list[dict] = []
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_cell, cell) for cell in cells]
-            for cell, future in zip(cells, futures):
-                try:
-                    rows.append(future.result())
-                except Exception as exc:  # cell isolation: keep partial results
-                    failures.append(_failure_record(cell, exc))
+            outcomes = list(pool.map(_guarded_cell, cells))
     else:
-        for cell in cells:
-            try:
-                rows.append(_run_cell(cell))
-            except Exception as exc:  # cell isolation: keep partial results
-                failures.append(_failure_record(cell, exc))
+        outcomes = [_guarded_cell(cell) for cell in cells]
+    rows = [o for o in outcomes if isinstance(o, StudyRow)]
+    failures = [o for o in outcomes if not isinstance(o, StudyRow)]
     return rows, summarize(rows, config, failures)
-
-
-def _failure_record(cell: tuple, exc: Exception) -> dict:
-    scenario, method, jump, replicate, _ = cell
-    return {
-        "scenario": scenario,
-        "method": method,
-        "jump": jump,
-        "replicate": replicate,
-        "error": f"{type(exc).__name__}: {exc}",
-    }
 
 
 def summarize(rows: Sequence[StudyRow], config: StudyConfig, failures: Sequence[dict] = ()) -> dict:
@@ -401,10 +409,14 @@ def write_results_csv(rows: Sequence[StudyRow], path) -> None:
             )
 
 
-def write_summary_json(summary: dict, path) -> None:
+def write_json(document, path=None) -> None:
+    """Write ``document`` as indented JSON to ``path``, or to stdout without one."""
+    text = json.dumps(document, indent=2) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -425,31 +437,24 @@ def run_runtime_study(
 
     Each (method, n) cell reports the best of ``repeats`` runs on the
     same series.  "op-unpruned" is the optimal-partitioning baseline
-    with ``prune=False``, a clean quadratic reference.
+    with ``prune=False``, a clean quadratic reference.  The lengths are
+    checked before anything is timed: the log-log slope fit needs two
+    distinct ones.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
+    if len(set(lengths)) < 2:
+        raise ConfigError("a log-log slope needs at least two distinct lengths")
     rows: list[RuntimeRow] = []
     for n in lengths:
         series = generate(Scenario(name="none", n=n, seed=seed))
         for method in methods:
-            if method == "op-unpruned":
-                penalty = 2.0 * math.log(n)
-
-                def run(series=series, penalty=penalty):
-                    return op_pelt_run(series, CostModel("gaussian"), penalty, prune=False)[1]
-
-            else:
-                detector = make_detector(method, n, 1)
-
-                def run(series=series, detector=detector):
-                    return detector(series)
-
+            detector = make_detector(method, n, 1)
             best = math.inf
             k_detected = 0
             for _ in range(repeats):
                 start = time.perf_counter()
-                segmentation = run()
+                segmentation = detector(series)
                 best = min(best, time.perf_counter() - start)
                 k_detected = segmentation.k
             rows.append(RuntimeRow(method=method, n=n, runtime_s=best, k_detected=k_detected))
@@ -477,8 +482,8 @@ def run_prop2_audit(
     Cycles through the scenario patterns with the given jumps to mix
     change-free and multi-change instances.
     """
-    gamma = 2.0 * math.log(n)
     svp_detector = make_detector("svp-glr-plain", n, 1)
+    op_detector = make_detector("pelt", n, 1)
     records = []
     violations = 0
     for i in range(instances):
@@ -491,7 +496,7 @@ def run_prop2_audit(
         )
         series = generate(scenario)
         k_svp = svp_detector(series).k
-        k_op = op_pelt_run(series, CostModel("gaussian"), gamma)[1].k
+        k_op = op_detector(series).k
         if k_svp > k_op:
             violations += 1
         records.append(

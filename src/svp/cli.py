@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import math
 import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,16 +27,17 @@ from .bench import (
     StudyConfig,
     fit_loglog_slope,
     generate,
+    resolve_gamma,
     run_prop2_audit,
     run_runtime_study,
     run_study,
+    write_json,
     write_results_csv,
-    write_summary_json,
 )
 from .core import DomainError, SvpError, TimeSeries
 from .costs import CostModel, cost
 from .engine import EngineConfig, svp_run
-from .validity import ValidityTest, segment_statistic, sidak_threshold, wilcoxon_threshold
+from .validity import ValidityTest, segment_statistic
 
 EXIT_OK = 0
 EXIT_UNREADABLE = 2
@@ -67,9 +68,12 @@ class _CliError(Exception):
 
 
 def _read_series_csv(path: str, column: Optional[str]) -> list[float]:
-    """Load one numeric column; header row is detected automatically."""
+    """Load one numeric column: by name, by 0-based index, or else the
+    first numeric cell of row 0 or row 1.  Row 0 is a header unless its
+    selected cell is a number, and always when the column is named."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig: a byte-order mark is not part of the first cell
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise _CliError(EXIT_UNREADABLE, f"cannot read {path}: {exc}")
@@ -94,38 +98,27 @@ def _read_series_csv(path: str, column: Optional[str]) -> list[float]:
         except ValueError:
             return False
 
-    index: Optional[int] = None
-    if column is not None:
+    header = rows[0]
+    named = False
+    if column is None:
+        numeric = [i for row in rows[:2] for i, cell in enumerate(row) if is_number(cell)]
+        if not numeric:
+            raise _CliError(EXIT_BAD_DATA, "no numeric column found")
+        index = numeric[0]
+    else:
         try:
             index = int(column)
         except ValueError:
-            index = None
-        if index is not None and index < 0:
+            names = [cell.strip() for cell in header]
+            if column not in names:
+                raise _CliError(EXIT_BAD_FLAGS, f"column {column!r} not found in header {names}")
+            index = names.index(column)
+            named = True
+        if index < 0:
             raise _CliError(EXIT_BAD_FLAGS, f"column index must be 0 or more, got {index}")
-    start = 0
-    header = rows[0]
-    if column is not None and index is None:
-        names = [cell.strip() for cell in header]
-        if column not in names:
-            raise _CliError(EXIT_BAD_FLAGS, f"column {column!r} not found in header {names}")
-        index = names.index(column)
-        start = 1
-    else:
-        if index is None:
-            numeric = [i for i, cell in enumerate(header) if is_number(cell)]
-            if numeric:
-                index = numeric[0]
-            else:
-                start = 1
-                data_row = rows[1] if len(rows) > 1 else []
-                numeric = [i for i, cell in enumerate(data_row) if is_number(cell)]
-                if not numeric:
-                    raise _CliError(EXIT_BAD_DATA, "no numeric column found")
-                index = numeric[0]
-        elif not is_number(header[index] if index < len(header) else ""):
-            start = 1
+    has_header = named or not is_number(header[index] if index < len(header) else "")
     values = []
-    for row in rows[start:]:
+    for row in rows[int(has_header):]:
         if index >= len(row):
             raise _CliError(EXIT_BAD_DATA, f"row {row!r} lacks column {index}")
         values.append(parse(row[index]))
@@ -144,25 +137,7 @@ def _resolve_gamma(args, n: int) -> tuple[float, str]:
         raise _CliError(EXIT_BAD_FLAGS, "exactly one of --gamma / --gamma-rule is required")
     if args.gamma is not None:
         return float(args.gamma), f"explicit:{args.gamma:g}"
-    rule = args.gamma_rule
-    if rule == "bic":
-        return 2.0 * math.log(n), "bic"
-    if rule == "bic15":
-        return 1.5 * math.log(n), "bic15"
-    if rule.startswith("wilcoxon:"):
-        try:
-            typical = float(rule.split(":", 1)[1])
-        except ValueError:
-            raise _CliError(EXIT_BAD_FLAGS, f"bad gamma rule {rule!r}")
-        return wilcoxon_threshold(typical), rule
-    if rule.startswith("mood:"):
-        try:
-            alpha = float(rule.split(":", 1)[1])
-        except ValueError:
-            raise _CliError(EXIT_BAD_FLAGS, f"bad gamma rule {rule!r}")
-        typical = typical_len if typical_len is not None else n
-        return sidak_threshold(max(1, round(typical) - 1), alpha), rule
-    raise _CliError(EXIT_BAD_FLAGS, f"unknown gamma rule {rule!r}")
+    return resolve_gamma(args.gamma_rule, n, typical_len or n), args.gamma_rule
 
 
 def _mad_diff_scale(values: np.ndarray) -> float:
@@ -215,12 +190,7 @@ def cmd_detect(args) -> int:
         "q": r_n.q,
         "per_segment": per_segment,
     }
-    out_text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out_text)
-    else:
-        sys.stdout.write(out_text)
+    write_json(payload, args.out)
     if args.points_csv:
         _write_points_csv(args.points_csv, series, seg)
     manifest_path = args.manifest or (args.out + ".manifest.json" if args.out else None)
@@ -255,9 +225,7 @@ def cmd_detect(args) -> int:
             },
             "wall_time_s": time.perf_counter() - wall_start,
         }
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        write_json(manifest, manifest_path)
     return EXIT_OK
 
 
@@ -320,9 +288,7 @@ def cmd_simulate(args) -> int:
             "noise": scenario.noise.label(),
             "true_changes": list(scenario.true_changes),
         }
-        with open(args.truth, "w", encoding="utf-8") as fh:
-            json.dump(truth, fh, indent=2)
-            fh.write("\n")
+        write_json(truth, args.truth)
     return EXIT_OK
 
 
@@ -345,25 +311,17 @@ def cmd_bench(args) -> int:
         for row in rows:
             by_method.setdefault(row.method, []).append((row.n, row.runtime_s))
         summary = {
-            "rows": [
-                {"method": r.method, "n": r.n, "runtime_s": r.runtime_s, "k_detected": r.k_detected}
-                for r in rows
-            ],
+            "rows": [asdict(row) for row in rows],
             "loglog_slopes": {m: fit_loglog_slope(pts) for m, pts in by_method.items()},
         }
-        if args.out_json:
-            write_summary_json(summary, args.out_json)
-        else:
-            json.dump(summary, sys.stdout, indent=2)
-            sys.stdout.write("\n")
+        write_json(summary, args.out_json)
         return EXIT_OK
     if args.study == "prop2":
         audit = run_prop2_audit(instances=args.replicates, n=args.n, base_seed=args.seed)
         if args.out_json:
-            write_summary_json(audit, args.out_json)
+            write_json(audit, args.out_json)
         else:
-            json.dump({k: audit[k] for k in ("instances", "violations")}, sys.stdout, indent=2)
-            sys.stdout.write("\n")
+            write_json({k: audit[k] for k in ("instances", "violations")})
         return EXIT_OK if audit["violations"] == 0 else EXIT_BENCH_FAILURE
     methods = list(args.methods) if args.methods else ["svp-glr"]
     if args.baseline == "pelt" and "pelt" not in methods:
@@ -385,11 +343,8 @@ def cmd_bench(args) -> int:
     rows, summary = run_study(config)
     if args.out_csv:
         write_results_csv(rows, args.out_csv)
-    if args.out_json:
-        write_summary_json(summary, args.out_json)
-    if not args.out_csv and not args.out_json:
-        json.dump(summary, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    if args.out_json or not args.out_csv:
+        write_json(summary, args.out_json)
     if summary["failures"]:
         sys.stderr.write(f"{len(summary['failures'])} cell(s) failed; partial results kept\n")
         return EXIT_BENCH_FAILURE
@@ -413,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument(
         "--gamma-rule",
         default=None,
-        help="bic | bic15 | wilcoxon:<len> | mood:<alpha> (instead of --gamma)",
+        help="bic | bic15 | wilcoxon[:<len>] | mood:<alpha> (instead of --gamma)",
     )
-    det.add_argument("--typical-len", type=float, default=None, help="typical segment length for mood:<alpha>")
+    det.add_argument("--typical-len", type=float, default=None, help="typical length for the rank rules (default n)")
     det.add_argument("--sticky", dest="sticky", action="store_true", default=True)
     det.add_argument("--no-sticky", dest="sticky", action="store_false")
     det.add_argument("--min-seg-len", type=int, default=1)

@@ -87,6 +87,9 @@ def _oracle_best(n, stat_table, cost_table, gamma):
     return best
 
 
+C01_COSTS = (CostModel("gaussian"), CostModel("mad"), CostModel("quantile", x=0.2))
+
+
 def test_c01_exactness_oracle_small_series():
     """Engine solutions equal exhaustive enumeration over all partitions."""
     start = time.perf_counter()
@@ -98,23 +101,23 @@ def test_c01_exactness_oracle_small_series():
         series = TimeSeries.from_values(values)
         listed = values.tolist()
         cost_tables = {
-            kind: {
-                (a, b): naive_cost(listed, a, b, kind)
+            model: {
+                (a, b): naive_cost(listed, a, b, model.kind, model.x)
                 for a in range(n)
                 for b in range(a + 1, n + 1)
             }
-            for kind in ("gaussian", "mad")
+            for model in C01_COSTS
         }
         for (kind, sticky), gammas in GAMMA_GRID.items():
             stat_table = _oracle_tables(listed, kind, sticky)
             for gamma in gammas:
                 test = ValidityTest(kind, gamma=gamma, sticky=sticky)
-                for cost_kind in ("gaussian", "mad"):
-                    config = EngineConfig(cost=CostModel(cost_kind), test=test)
+                for model in C01_COSTS:
+                    config = EngineConfig(cost=model, test=test)
                     result = svp_run(series, config)
-                    want_k, want_q = _oracle_best(n, stat_table, cost_tables[cost_kind], gamma)
+                    want_k, want_q = _oracle_best(n, stat_table, cost_tables[model], gamma)
                     r_n = result.table.r[-1]
-                    assert r_n.k == want_k, (index, kind, sticky, gamma, cost_kind)
+                    assert r_n.k == want_k, (index, kind, sticky, gamma, model)
                     assert r_n.q == pytest.approx(want_q, rel=1e-9, abs=1e-9)
                     checked += 1
     elapsed = time.perf_counter() - start

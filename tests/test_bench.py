@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+import svp.bench
 from svp import DomainError
 from svp.bench import (
+    METHOD_NAMES,
     Noise,
     Scenario,
     StudyConfig,
@@ -22,8 +25,8 @@ from svp.bench import (
     run_study,
     summarize,
     uniforms,
+    write_json,
     write_results_csv,
-    write_summary_json,
     RESULT_COLUMNS,
 )
 
@@ -149,11 +152,11 @@ class TestStudy:
         csv_path = tmp_path / "rows.csv"
         json_path = tmp_path / "summary.json"
         write_results_csv(rows, csv_path)
-        write_summary_json(summary, json_path)
+        write_json(summary, json_path)
         header = csv_path.read_text().splitlines()[0]
         assert header == ",".join(RESULT_COLUMNS)
         assert header == "scenario,method,jump,replicate,precision,recall,f1,k_detected,runtime_s"
-        assert json_path.exists()
+        assert json.loads(json_path.read_text()) == summary
 
     def test_replicates_use_derived_seeds(self):
         config = StudyConfig(
@@ -168,6 +171,24 @@ class TestStudy:
     def test_detector_registry_rejects_unknown(self):
         with pytest.raises(DomainError):
             make_detector("magic", 100, 1)
+
+    def test_every_method_builds_and_runs(self, monkeypatch):
+        scenario = Scenario(name="up", n=120, jump=3.0, segments=3, seed=4)
+        series = generate(scenario)
+        log_n = math.log(scenario.n)
+        penalties = []
+        real_op_pelt_run = svp.bench.op_pelt_run
+
+        def spy(series, model, penalty, prune=True):
+            penalties.append((penalty, prune))
+            return real_op_pelt_run(series, model, penalty, prune=prune)
+
+        monkeypatch.setattr(svp.bench, "op_pelt_run", spy)
+        for method in METHOD_NAMES:
+            segmentation = make_detector(method, scenario.n, scenario.true_k)(series)
+            assert segmentation.n == scenario.n, method
+            assert segmentation.change_points == scenario.true_changes, method
+        assert penalties == [(2.0 * log_n, True), (1.5 * log_n, True), (2.0 * log_n, False)]
 
     def test_noiseless_round_trip(self):
         # wilcoxon is excluded: with the ties-count-as-<= convention a

@@ -9,12 +9,28 @@ import warnings
 import numpy as np
 import pytest
 
+import svp.bench
 from svp.cli import main
 
 
 def write_csv(path, values, header="value"):
     lines = ([header] if header else []) + [f"{v:.17g}" for v in values]
     path.write_text("\n".join(lines) + "\n")
+
+
+def values_read(tmp_path, text, *flags):
+    """The values `svp detect` reads from a CSV holding ``text``."""
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    points = tmp_path / "points.csv"
+    manifest = tmp_path / "run.json"
+    code = main(["detect", "--input", str(csv_path), "--test", "range", "--gamma", "1e9",
+                 "--out", str(tmp_path / "out.json"), "--points-csv", str(points),
+                 "--manifest", str(manifest), *flags])
+    assert code == 0
+    values = [float(line.split(",")[1]) for line in points.read_text().splitlines()[1:]]
+    assert json.loads(manifest.read_text())["input"]["length"] == len(values)
+    return values
 
 
 class TestDetect:
@@ -59,17 +75,18 @@ class TestDetect:
         write_csv(csv_path, rng.normal(size=1000))
         out = tmp_path / "o.json"
         manifest = tmp_path / "m.json"
-        code = main(
-            [
-                "detect", "--input", str(csv_path), "--test", "glr", "--gamma-rule", "bic",
-                "--out", str(out), "--manifest", str(manifest),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(manifest.read_text())
-        assert doc["config"]["gamma"] == pytest.approx(2.0 * math.log(1000))
-        assert doc["config"]["gamma"] == pytest.approx(13.8155, abs=1e-3)
-        assert doc["config"]["gamma_rule"] == "bic"
+        for rule, factor, gamma in (("bic", 2.0, 13.8155), ("bic15", 1.5, 10.3616)):
+            code = main(
+                [
+                    "detect", "--input", str(csv_path), "--test", "glr", "--gamma-rule", rule,
+                    "--out", str(out), "--manifest", str(manifest),
+                ]
+            )
+            assert code == 0
+            doc = json.loads(manifest.read_text())
+            assert doc["config"]["gamma"] == pytest.approx(factor * math.log(1000))
+            assert doc["config"]["gamma"] == pytest.approx(gamma, abs=1e-3)
+            assert doc["config"]["gamma_rule"] == rule
 
     def test_manifest_replay_reproduces_boundaries(self, tmp_path):
         csv_path = tmp_path / "replay.csv"
@@ -95,6 +112,23 @@ class TestDetect:
                      "--test", "range", "--gamma", "0.5"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["boundaries"] == [0, 3]
+
+    @pytest.mark.parametrize(
+        "text, flags, values",
+        [
+            ("1.5\n2.5\n3.5\n", (), [1.5, 2.5, 3.5]),
+            ("a,b\n1,10\n2,20\n", ("--column", "1"), [10.0, 20.0]),
+            ("id,2.5\n1,10\n2,20\n", ("--column", "1"), [2.5, 10.0, 20.0]),
+            ("id,nan\n1,10\n2,20\n", ("--column", "1"), [10.0, 20.0]),
+            ("\ufeff1.5\n2.5\n3.5\n4.5\n", (), [1.5, 2.5, 3.5, 4.5]),
+            ("\ufeffvalue\n1.5\n2.5\n", ("--column", "value"), [1.5, 2.5]),
+        ],
+        ids=["headerless", "index-over-header", "numeric-header-cell", "nan-header-cell",
+             "bom-headerless", "bom-named-column"],
+    )
+    def test_header_rule(self, tmp_path, text, flags, values):
+        # row 0 is a header unless its selected cell is a number
+        assert values_read(tmp_path, text, *flags) == values
 
     def test_standardize_mad_diff(self, tmp_path, capsys):
         csv_path = tmp_path / "scaled.csv"
@@ -129,7 +163,9 @@ class TestDetect:
         write_csv(good, [1.0, 2.0, 3.0])
         assert main(["detect", "--input", str(good)]) == 4  # no gamma at all
         assert main(["detect", "--input", str(good), "--gamma", "1", "--gamma-rule", "bic"]) == 4
-        assert main(["detect", "--input", str(good), "--gamma-rule", "nonsense"]) == 4
+        for rule in ("nonsense", "mood", "wilcoxon:", "mood:x"):
+            assert main(["detect", "--input", str(good), "--gamma-rule", rule]) == 4
+            assert "gamma rule" in capsys.readouterr().err
         out = str(tmp_path / "out.json")
         single = tmp_path / "one.csv"
         write_csv(single, [2.5])
@@ -143,8 +179,9 @@ class TestDetect:
         write_csv(flat, [3.0] * 50)
         assert main(["detect", "--input", str(flat), "--test", "glr", "--gamma-rule", "bic",
                      "--out", out]) == 0
-        assert main(["detect", "--input", str(good), "--gamma", "1", "--min-seg-len", "4",
-                     "--out", out]) == 4
+        for min_seg_len in ("0", "4"):
+            assert main(["detect", "--input", str(good), "--gamma", "1", "--min-seg-len",
+                         min_seg_len, "--out", out]) == 4
         assert main(["detect", "--input", str(good), "--gamma", "-1", "--out", out]) == 4
         columns = tmp_path / "cols.csv"
         columns.write_text("a,b\n1.0,10.0\n2.0,20.0\n3.0,30.0\n")
@@ -172,6 +209,15 @@ class TestDetect:
         assert code == 0
         doc = json.loads(manifest.read_text())
         assert doc["config"]["gamma"] == pytest.approx(1.5 * math.sqrt(30**3 / 12.0))
+        # bare wilcoxon takes --typical-len, else the series length
+        for typical, length in ((["--typical-len", "30"], 30), ([], 60)):
+            code = main(["detect", "--input", str(csv_path), "--test", "wilcoxon",
+                         "--gamma-rule", "wilcoxon", *typical,
+                         "--out", str(out), "--manifest", str(manifest)])
+            assert code == 0
+            doc = json.loads(manifest.read_text())
+            assert doc["config"]["gamma"] == pytest.approx(1.5 * math.sqrt(length**3 / 12.0))
+            assert doc["config"]["gamma_rule"] == "wilcoxon"
         code = main(["detect", "--input", str(csv_path), "--test", "mood",
                      "--gamma-rule", "mood:0.01", "--typical-len", "30",
                      "--out", str(out), "--manifest", str(manifest)])
@@ -276,7 +322,11 @@ class TestBench:
         assert not json_path.exists()
 
     @pytest.mark.parametrize("lengths", [["200"], ["200", "200"]])
-    def test_runtime_study_rejects_a_single_length(self, tmp_path, capsys, lengths):
+    def test_runtime_study_rejects_a_single_length(self, tmp_path, capsys, monkeypatch, lengths):
+        def no_detector(*args):
+            raise AssertionError("the study built a detector before checking its lengths")
+
+        monkeypatch.setattr(svp.bench, "make_detector", no_detector)
         json_path = tmp_path / "runtime.json"
         code = main(["bench", "--study", "runtime", "--lengths", *lengths,
                      "--repeats", "1", "--out-json", str(json_path)])
