@@ -474,14 +474,14 @@ def run_prop2_audit(
     instances: int = 100,
     n: int = 500,
     base_seed: int = 7,
-    jumps: Sequence[float] = (0.0, 0.75, 1.5),
 ) -> dict:
     """Per-instance check that plain-GLR SVP never uses more segments
     than optimal partitioning at the same penalty.
 
-    Cycles through the scenario patterns with the given jumps to mix
-    change-free and multi-change instances.
+    Cycles through the scenario patterns and the jumps 0, 0.75 and 1.5 to
+    mix change-free and multi-change instances.
     """
+    jumps = (0.0, 0.75, 1.5)
     svp_detector = make_detector("svp-glr-plain", n, 1)
     op_detector = make_detector("pelt", n, 1)
     records = []

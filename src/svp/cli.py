@@ -154,12 +154,12 @@ def _mad_diff_scale(values: np.ndarray) -> float:
 
 def cmd_detect(args) -> int:
     wall_start = time.perf_counter()
-    raw_values = _read_series_csv(args.input, args.column)
-    values = np.asarray(raw_values, dtype=np.float64)
+    raw = np.asarray(_read_series_csv(args.input, args.column), dtype=np.float64)
+    values = raw
     scale = None
     if args.standardize == "mad-diff":
-        scale = _mad_diff_scale(values)
-        values = values / scale
+        scale = _mad_diff_scale(raw)
+        values = raw / scale
     try:
         series = TimeSeries.from_values(values)
     except DomainError as exc:
@@ -192,7 +192,7 @@ def cmd_detect(args) -> int:
     }
     write_json(payload, args.out)
     if args.points_csv:
-        _write_points_csv(args.points_csv, series, seg)
+        _write_points_csv(args.points_csv, raw, seg)
     manifest_path = args.manifest or (args.out + ".manifest.json" if args.out else None)
     if manifest_path:
         manifest = {
@@ -237,8 +237,8 @@ def _file_digest(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_points_csv(path: str, series: TimeSeries, seg) -> None:
-    values = series.values
+def _write_points_csv(path: str, values: np.ndarray, seg) -> None:
+    """Per-point values and segment levels in the input's units."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("index,value,segment_id,segment_mean,segment_median\n")
         for sid, (a, b) in enumerate(seg.segments()):

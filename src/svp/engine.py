@@ -5,9 +5,9 @@ all partitions whose every segment passes the validity test.  Candidate
 last-change indices (starts) are grouped by their segment count, each
 group held as parallel lists of starts, DP costs and validity states.
 Each step consults the group with the fewest segments first, in order
-of extended cost; for a gaussian cost and a large group that order comes
-from one numpy expression.  A start's validity state is created when a
-scan first reaches it and caught up only on demand, by one
+of extended cost with ties to the latest start: one ``np.lexsort`` per
+group of two or more eligible starts.  A start's validity state is
+created when a scan first reaches it and caught up only on demand, by one
 ``ValidityState.catch_up`` call over the values it missed.  That call
 owns the rest of the validity protocol: tracing, the stable-test stop
 rule and, under a sticky test, the full-window check that settles a
@@ -60,18 +60,12 @@ class EngineConfig:
             raise ConfigError("min_seg_len must be at least 1")
 
 
-# Above this many eligible starts a gaussian group scan costs and orders
-# them with numpy; below it numpy's per-call overhead loses to the scalar
-# closure and a Python sort (measured crossover: 48 to 64 starts).
-_ARRAY_SCAN_MIN = 48
-
-
 class _Group:
     """Starts with one segment count: parallel lists, increasing ``s``.
 
     ``state[i]`` is None until a scan first reaches start ``s[i]``.
-    ``arrays`` caches ``(s, -s, q)`` as numpy arrays for the vectorized
-    scan and is cleared whenever the lists change.
+    ``arrays`` caches ``(s, -s, q)`` as numpy arrays for the group scan
+    and is cleared whenever the lists change.
     """
 
     __slots__ = ("s", "q", "state", "arrays")
@@ -148,10 +142,11 @@ def _run_lazy(
     extended cost ``q + C(s, t)`` (ties to the latest start) and the scan
     stops at the first valid one, which is the group optimum.  Starts the
     scan finds invalid under a stable test are deleted from their group
-    right after that scan.  For a gaussian cost and a group of more than
-    ``_ARRAY_SCAN_MIN`` eligible starts, the extended costs and their
-    order come from ``gaussian_costs`` over arrays cached until the
-    group changes; it rounds exactly like the scalar cost closure.
+    right after that scan.  A group of two or more eligible starts is
+    ordered by one ``np.lexsort`` over arrays cached until the group
+    changes; its costs come from ``gaussian_costs`` for the gaussian
+    cost, which rounds exactly like the scalar closure, and from the
+    scalar closure otherwise.
     """
     n = len(series)
     test = config.test
@@ -177,23 +172,22 @@ def _run_lazy(
                 continue
             if m == 1:
                 # On change-free data every step consults a single start;
-                # skipping the list build and sort there saves about a
+                # skipping the array build and sort there saves about a
                 # tenth of the solve time on a 200k-value series.
                 order = [0]
                 q_total = [q[0] + cost_fn(starts[0], t)]
-            elif vectorize and m > _ARRAY_SCAN_MIN:
+            else:
                 if group.arrays is None:
                     s_arr = np.array(starts)
                     group.arrays = (s_arr, -s_arr, np.array(q))
                 s_arr, neg_s, q_arr = group.arrays
-                s_arr, neg_s, q_arr = s_arr[:m], neg_s[:m], q_arr[:m]
-                q_total = gaussian_costs(cs, css, s_arr, t) + q_arr
-                order = np.lexsort((neg_s, q_total)).tolist()
-            else:
-                q_total = [q[i] + cost_fn(starts[i], t) for i in range(m)]
-                # A stable sort of the indices in decreasing order puts
-                # cost ties at the latest start.
-                order = sorted(range(m - 1, -1, -1), key=q_total.__getitem__)
+                if vectorize:
+                    costs = gaussian_costs(cs, css, s_arr[:m], t)
+                else:
+                    costs = np.array([cost_fn(s, t) for s in starts[:m]])
+                q_total = costs + q_arr[:m]
+                # Increasing extended cost, ties to the latest start.
+                order = np.lexsort((neg_s[:m], q_total))
             states = group.state
             dead: list[int] = []
             for i in order:

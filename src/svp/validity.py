@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, InvalidRangeError, TimeSeries
-from .costs import gaussian_costs
+from .core import DomainError, TimeSeries
+from .costs import _check_range, gaussian_costs
 
 @dataclass(frozen=True)
 class ValidityTest:
@@ -171,8 +171,7 @@ def glr_scan_naive(series: TimeSeries, a: int, b: int) -> float:
     last element is C(a,b).  Splits leave both sides non-empty; a segment
     too short to split scores 0, the minimal element.
     """
-    if not (0 <= a < b <= len(series)):
-        raise InvalidRangeError(f"segment ({a}, {b}] is not a valid range for n={len(series)}")
+    _check_range(series, a, b)
     if b - a < 2:
         return 0.0
     left = gaussian_costs(series.cumsum, series.cumsum_sq, a, np.arange(a + 1, b + 1))
@@ -379,8 +378,7 @@ VALIDITY_KINDS = tuple(_STATE_CLASSES)
 
 def segment_statistic(series: TimeSeries, a: int, b: int, kind: str) -> float:
     """Full-scan statistic of a fixed segment, by definition of each test."""
-    if not (0 <= a < b <= len(series)):
-        raise InvalidRangeError(f"segment ({a}, {b}] is not a valid range for n={len(series)}")
+    _check_range(series, a, b)
     if kind == "range":
         seg = series.values[a:b]
         return float(seg.max() - seg.min())
@@ -419,16 +417,15 @@ def certainly_invalid(series: TimeSeries, s: int, t: int, test: ValidityTest) ->
     return value if value > limit else None
 
 
-def segment_sticky_statistic(series: TimeSeries, a: int, b: int, kind: str) -> float:
-    """Max of the full-scan statistic over all prefixes of the segment."""
-    return max(segment_statistic(series, a, u, kind) for u in range(a + 1, b + 1))
-
-
 def is_segment_valid(series: TimeSeries, a: int, b: int, test: ValidityTest) -> bool:
-    """Check one segment against the test by direct recomputation."""
-    if test.sticky:
-        return segment_sticky_statistic(series, a, b, test.kind) <= test.gamma
-    return segment_statistic(series, a, b, test.kind) <= test.gamma
+    """Check one segment against the test by direct recomputation.
+
+    A sticky test checks the full-scan statistic at every prefix end,
+    any other test the whole segment only.
+    """
+    _check_range(series, a, b)
+    ends = range(a + 1, b + 1) if test.sticky else (b,)
+    return all(segment_statistic(series, a, u, test.kind) <= test.gamma for u in ends)
 
 
 def wilcoxon_threshold(typical_len: float) -> float:

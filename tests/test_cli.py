@@ -142,6 +142,27 @@ class TestDetect:
         payload = json.loads(capsys.readouterr().out)
         assert any(abs(b - 100) <= 2 for b in payload["boundaries"][1:-1])
 
+    def test_standardize_points_csv_in_input_units(self, tmp_path):
+        csv_path = tmp_path / "raw.csv"
+        write_csv(csv_path, [1.0, 3.0, 2.0, 10.0, 12.0, 11.0])
+        out = tmp_path / "out.json"
+        points = tmp_path / "points.csv"
+        manifest = tmp_path / "run.json"
+        code = main(["detect", "--input", str(csv_path), "--gamma", "5",
+                     "--standardize", "mad-diff", "--out", str(out),
+                     "--points-csv", str(points), "--manifest", str(manifest)])
+        assert code == 0
+        assert points.read_text().splitlines()[1:] == [
+            "1,1,0,2,2", "2,3,0,2,2", "3,2,0,2,2",
+            "4,10,1,11,11", "5,12,1,11,11", "6,11,1,11,11",
+        ]
+        # the objective's numbers stay on the standardized series
+        scale = json.loads(manifest.read_text())["config"]["mad_diff_scale"]
+        payload = json.loads(out.read_text())
+        assert [seg["cost"] for seg in payload["per_segment"]] == [
+            pytest.approx(1.0 / scale**2)
+        ] * 2
+
     def test_exit_codes(self, tmp_path, capsys):
         assert main(["detect", "--input", str(tmp_path / "absent.csv"), "--gamma", "1"]) == 2
         bad = tmp_path / "bad.csv"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -264,8 +263,8 @@ class TestPruningDifferential:
             assert lazy.table.s == reference.table.s
 
 
-def constant_runs(rng, n):
-    """Runs of 40 to 160 equal small integers.
+def constant_runs(rng, n, shortest=40, longest=160):
+    """Runs of ``shortest`` to ``longest`` equal small integers.
 
     A constant window scores u * (n - u) / 2 under the Wilcoxon scan, so
     runs longer than sqrt(8 * gamma) must be cut, and every cut inside a
@@ -273,76 +272,8 @@ def constant_runs(rng, n):
     """
     values: list[float] = []
     while len(values) < n:
-        values += [float(rng.integers(0, 3))] * int(rng.integers(40, 160))
+        values += [float(rng.integers(0, 3))] * int(rng.integers(shortest, longest))
     return np.array(values[:n])
-
-
-class TestArrayScanDifferential:
-    """Runs long enough that consulted gaussian groups take the numpy scan."""
-
-    @pytest.mark.parametrize(
-        "kind,sticky,gamma,cost_kind,min_seg_len,ties",
-        [
-            ("glr_gaussian_focus", True, 4.0, "gaussian", 1, False),
-            ("glr_gaussian_focus", True, 4.0, "gaussian", 3, False),
-            ("range", False, 5.5, "gaussian", 1, False),
-            ("wilcoxon", True, 60.0, "mad", 1, False),
-            ("wilcoxon", True, 1250.0, "gaussian", 1, True),
-            ("wilcoxon", False, 1250.0, "gaussian", 2, True),
-        ],
-    )
-    def test_matches_reference(
-        self, monkeypatch, kind, sticky, gamma, cost_kind, min_seg_len, ties
-    ):
-        lexsort = np.lexsort
-        sorted_sizes = []
-        tied_calls = []
-
-        def spy(keys):
-            sorted_sizes.append(len(keys[-1]))
-            tied_calls.append(np.unique(keys[-1]).size < len(keys[-1]))
-            return lexsort(keys)
-
-        make_cost_fn = engine.make_cost_fn
-        cost_calls_at = Counter()
-
-        def counted_make_cost_fn(series, model):
-            cost_fn = make_cost_fn(series, model)
-
-            def counted(a, b):
-                cost_calls_at[b] += 1
-                return cost_fn(a, b)
-
-            return counted
-
-        monkeypatch.setattr(np, "lexsort", spy)
-        monkeypatch.setattr(engine, "make_cost_fn", counted_make_cost_fn)
-        rng = np.random.default_rng(17)
-        config = EngineConfig(
-            cost=CostModel(cost_kind),
-            test=ValidityTest(kind, gamma=gamma, sticky=sticky),
-            min_seg_len=min_seg_len,
-        )
-        for _ in range(2):
-            n = int(rng.integers(250, 400))
-            if ties:
-                values = constant_runs(rng, n)
-            else:
-                values = random_series(rng, n, changes=int(rng.integers(1, 4)))
-            ts = TimeSeries.from_values(values)
-            lazy = svp_run(ts, config)
-            reference = reference_run(ts, config)
-            assert lazy.segmentation == reference.segmentation
-            assert lazy.table.r == reference.table.r
-            assert lazy.table.s == reference.table.s
-        if cost_kind == "gaussian":
-            assert sorted_sizes and min(sorted_sizes) > engine._ARRAY_SCAN_MIN
-        else:
-            # other costs keep the scalar closure, however large the group
-            assert not sorted_sizes
-            assert max(cost_calls_at.values()) > engine._ARRAY_SCAN_MIN
-        if ties:
-            assert any(tied_calls)
 
 
 def table_hex(result):
@@ -352,6 +283,110 @@ def table_hex(result):
         list(result.table.s),
         result.segmentation.boundaries,
     )
+
+
+def consulted_groups(events):
+    """Starts costed and sizes sorted per consulted group, from an engine log.
+
+    A consult costs the group's eligible starts, may sort them, then
+    catches up at least one; the next cost event opens the next consult.
+    """
+    groups = []
+    for event, size in events:
+        if event == "cost" and (not groups or groups[-1][2]):
+            groups.append([0, [], False])
+        if event == "cost":
+            groups[-1][0] += size
+        elif event == "sort":
+            groups[-1][1].append(size)
+        else:
+            groups[-1][2] = True
+    return [(costed, sorts) for costed, sorts, _ in groups]
+
+
+class TestArrayScanDifferential:
+    """Every consult of two or more eligible starts is ordered by one
+    ``np.lexsort``, whatever the cost; single-start consults skip it.  The
+    tables match the reference bit for bit, exact ties included."""
+
+    @pytest.mark.parametrize(
+        "kind,sticky,gamma,cost_kind,min_seg_len,runs",
+        [
+            ("glr_gaussian_focus", True, 4.0, "gaussian", 1, None),
+            ("glr_gaussian_focus", True, 4.0, "gaussian", 3, None),
+            ("range", False, 5.5, "gaussian", 1, None),
+            ("wilcoxon", True, 60.0, "mad", 1, None),
+            ("glr_gaussian_focus", True, 4.0, "quantile", 1, None),
+            ("mood", True, 9.0, "poisson", 1, (5, 30)),
+            ("wilcoxon", True, 1250.0, "gaussian", 1, (40, 160)),
+            ("wilcoxon", False, 1250.0, "gaussian", 2, (40, 160)),
+            ("wilcoxon", True, 40.0, "gaussian", 1, (5, 30)),
+        ],
+    )
+    def test_matches_reference(
+        self, monkeypatch, kind, sticky, gamma, cost_kind, min_seg_len, runs
+    ):
+        events = []
+        tied = []
+        lexsort = np.lexsort
+
+        def sort_spy(keys):
+            events.append(("sort", len(keys[-1])))
+            tied.append(np.unique(keys[-1]).size < len(keys[-1]))
+            return lexsort(keys)
+
+        gaussian_costs = engine.gaussian_costs
+
+        def gaussian_spy(cs, css, a, b):
+            events.append(("cost", np.size(a)))
+            return gaussian_costs(cs, css, a, b)
+
+        make_cost_fn = engine.make_cost_fn
+
+        def counted_make_cost_fn(series, model):
+            cost_fn = make_cost_fn(series, model)
+
+            def counted(a, b):
+                events.append(("cost", 1))
+                return cost_fn(a, b)
+
+            return counted
+
+        catch_up = validity.ValidityState.catch_up
+
+        def catch_up_spy(state, *args):
+            events.append(("catch_up", 1))
+            return catch_up(state, *args)
+
+        monkeypatch.setattr(np, "lexsort", sort_spy)
+        monkeypatch.setattr(engine, "gaussian_costs", gaussian_spy)
+        monkeypatch.setattr(engine, "make_cost_fn", counted_make_cost_fn)
+        monkeypatch.setattr(validity.ValidityState, "catch_up", catch_up_spy)
+        rng = np.random.default_rng(17)
+        config = EngineConfig(
+            cost=CostModel(cost_kind),
+            test=ValidityTest(kind, gamma=gamma, sticky=sticky),
+            min_seg_len=min_seg_len,
+        )
+        sizes = []
+        for _ in range(2):
+            n = int(rng.integers(250, 400))
+            if runs:
+                values = constant_runs(rng, n, *runs)
+            else:
+                values = random_series(rng, n, changes=int(rng.integers(1, 4)))
+            ts = TimeSeries.from_values(values)
+            events.clear()
+            lazy = svp_run(ts, config)
+            for costed, sorts in consulted_groups(events):
+                assert sorts == ([costed] if costed >= 2 else []), (costed, sorts)
+                sizes.append(costed)
+            assert table_hex(lazy) == table_hex(reference_run(ts, config))
+        assert 1 in sizes and max(sizes) >= 2
+        if runs:
+            assert any(tied)
+        if runs == (5, 30):
+            assert any(2 <= m <= 48 for m in sizes)
 
 
 class TestCertificateDifferential:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from svp import (
     DomainError,
+    InvalidRangeError,
     TimeSeries,
     ValidityTest,
     chi2_quantile_1df,
@@ -74,6 +76,20 @@ class TestScanExamples:
 
     def test_mood_off_center_split_value(self):
         assert naive_mood_at_split([1.0, 1.0, 5.0, 5.0], 1) == pytest.approx(4.0 / 3.0)
+
+    def test_invalid_ranges_raise_one_error(self):
+        ts = TimeSeries.from_values([1.0, 2.0])
+        for a, b in [(1, 1), (2, 1), (-1, 2), (0, 3)]:
+            message = re.escape(f"segment ({a}, {b}] is not a valid range for n=2")
+            checks = [lambda: glr_scan_naive(ts, a, b)]
+            checks += [lambda kind=kind: segment_statistic(ts, a, b, kind) for kind in VALIDITY_KINDS]
+            checks += [
+                lambda sticky=sticky: is_segment_valid(ts, a, b, ValidityTest("range", 1.0, sticky))
+                for sticky in (False, True)
+            ]
+            for check in checks:
+                with pytest.raises(InvalidRangeError, match=message):
+                    check()
 
     def test_mood_constant_window(self):
         assert mood_scan([3.0] * 6) == 0.0
