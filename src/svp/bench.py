@@ -59,7 +59,7 @@ NOISE_KINDS = ("gaussian", "student_t")
 
 @dataclass(frozen=True)
 class Noise:
-    """Noise family: gaussian(sigma) or student_t(df)."""
+    """Noise family: gaussian(sigma) or student_t(df) scaled by sigma."""
 
     kind: str = "gaussian"
     sigma: float = 1.0
@@ -79,12 +79,12 @@ class Noise:
         z = normals(seed, (1 + self.df) * n)
         numer = z[:n]
         chi_sq = (z[n:].reshape(self.df, n) ** 2).sum(axis=0)
-        return numer / np.sqrt(chi_sq / self.df)
+        return self.sigma * (numer / np.sqrt(chi_sq / self.df))
 
     def label(self) -> str:
         if self.kind == "gaussian":
             return f"gaussian(sigma={self.sigma:g})"
-        return f"t{self.df}"
+        return f"t{self.df}" if self.sigma == 1 else f"t{self.df}(sigma={self.sigma:g})"
 
 
 SCENARIO_NAMES = ("none", "up", "step", "updown")
@@ -162,7 +162,6 @@ class MetricsReport:
     precision: float
     recall: float
     f1: float
-    detected: tuple[int, ...]
     matched_pairs: tuple[tuple[int, int], ...]
 
 
@@ -199,7 +198,6 @@ def match_and_score(
         precision=precision,
         recall=recall,
         f1=f1,
-        detected=tuple(found),
         matched_pairs=tuple(sorted(matched)),
     )
 
@@ -211,6 +209,8 @@ def resolve_gamma(rule: str, n: int, typical: float) -> float:
     ``mood:<alpha>`` scale with a typical segment length: the one given
     after ``wilcoxon:``, else ``typical``, which a bare ``wilcoxon`` uses.
     """
+    if n < 1:
+        raise ConfigError(f"a gamma rule needs a series length of at least 1, got {n}")
     name, colon, arg = rule.partition(":")
     if rule == "bic":
         return 2.0 * math.log(n)
@@ -342,6 +342,8 @@ def run_study(config: StudyConfig) -> tuple[list[StudyRow], dict]:
     Returns rows plus a summary dict; crashed cells are recorded under
     summary["failures"] and the surviving rows are kept.
     """
+    if config.n < 1:
+        raise ConfigError(f"n must be at least 1, got {config.n}")
     cells = [
         (scenario, method, jump, replicate, config)
         for scenario in config.scenarios

@@ -256,7 +256,7 @@ def _parse_noise(text: str, sigma: float) -> Noise:
             df = int(text[1:].lstrip(":") or "2")
         except ValueError:
             raise _CliError(EXIT_BAD_FLAGS, f"bad noise spec {text!r}")
-        return Noise("student_t", df=df)
+        return Noise("student_t", sigma=sigma, df=df)
     raise _CliError(EXIT_BAD_FLAGS, f"unknown noise {text!r} (use gaussian or t<df>)")
 
 
@@ -324,8 +324,6 @@ def cmd_bench(args) -> int:
             write_json({k: audit[k] for k in ("instances", "violations")})
         return EXIT_OK if audit["violations"] == 0 else EXIT_BENCH_FAILURE
     methods = list(args.methods) if args.methods else ["svp-glr"]
-    if args.baseline == "pelt" and "pelt" not in methods:
-        methods.append("pelt")
     replicates = 100 if args.full else args.replicates
     jumps = tuple(args.jumps) if not args.full else tuple(np.round(np.arange(0.1, 2.01, 0.1), 2))
     config = StudyConfig(
@@ -405,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--noise", default="gaussian")
     ben.add_argument("--sigma", type=float, default=1.0)
     ben.add_argument("--tolerance", type=float, default=2.5)
-    ben.add_argument("--baseline", default=None, choices=["pelt"], help="add a baseline method")
     ben.add_argument("--seed", type=int, default=1)
     ben.add_argument("--lengths", type=int, nargs="+", default=[1000, 2000, 4000, 8000])
     ben.add_argument("--repeats", type=int, default=3, help="timing repeats for the runtime study")

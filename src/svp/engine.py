@@ -3,7 +3,7 @@
 ``svp_run`` minimizes (segment count, total cost) lexicographically over
 all partitions whose every segment passes the validity test.  Candidate
 last-change indices (starts) are grouped by their segment count, each
-group held as parallel lists of starts, DP costs and validity states.
+group a list of starts whose DP values live only in the table.
 Each step consults the group with the fewest segments first, in order
 of extended cost with ties to the latest start: one ``np.lexsort`` per
 group of two or more eligible starts.  A start's validity state is
@@ -42,7 +42,7 @@ from .core import (
     backtrack,
 )
 from .costs import CostModel, gaussian_costs, make_cost_fn
-from .validity import ValidityTest, is_segment_valid
+from .validity import ValidityState, ValidityTest, is_segment_valid
 
 StatTrace = Callable[[int, int, float], None]
 
@@ -58,34 +58,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.min_seg_len < 1:
             raise ConfigError("min_seg_len must be at least 1")
-
-
-class _Group:
-    """Starts with one segment count: parallel lists, increasing ``s``.
-
-    ``state[i]`` is None until a scan first reaches start ``s[i]``.
-    ``arrays`` caches ``(s, -s, q)`` as numpy arrays for the group scan
-    and is cleared whenever the lists change.
-    """
-
-    __slots__ = ("s", "q", "state", "arrays")
-
-    def __init__(self, s: int, q: float) -> None:
-        self.s = [s]
-        self.q = [q]
-        self.state: list = [None]
-        self.arrays: Optional[tuple] = None
-
-    def add(self, s: int, q: float) -> None:
-        self.s.append(s)
-        self.q.append(q)
-        self.state.append(None)
-        self.arrays = None
-
-    def drop(self, indices: list[int]) -> None:
-        for i in sorted(indices, reverse=True):
-            del self.s[i], self.q[i], self.state[i]
-        self.arrays = None
 
 
 class SvpResult(NamedTuple):
@@ -129,24 +101,25 @@ def _run_lazy(
 ) -> tuple[list[BiPoint], list[int]]:
     """Bucketed runner: consult starts grouped by segment count.
 
-    Each group keeps parallel lists of starts ``s`` (increasing), DP
-    costs ``q`` and validity states.  A start's state is created the
-    first time a scan reaches it, and states of unconsulted starts stay
-    frozen until then: ``catch_up`` replays the values they missed and
-    says whether ``(s, t]`` is valid, calling ``trace`` for the
-    statistics it evaluates, so the per-step work tracks the consulted
-    starts instead of the whole candidate set.  Under a sticky test
-    ``catch_up`` first checks a start the previous step did not reach
-    with one full-window statistic, which settles most doomed starts
-    without a value fed.  Within a group, starts are tried in increasing
-    extended cost ``q + C(s, t)`` (ties to the latest start) and the scan
-    stops at the first valid one, which is the group optimum.  Starts the
-    scan finds invalid under a stable test are deleted from their group
-    right after that scan.  A group of two or more eligible starts is
-    ordered by one ``np.lexsort`` over arrays cached until the group
-    changes; its costs come from ``gaussian_costs`` for the gaussian
-    cost, which rounds exactly like the scalar closure, and from the
-    scalar closure otherwise.
+    ``groups[k]`` lists the starts ``s`` (increasing) with ``r[s].k == k``;
+    a start's DP cost is read from ``r``.  ``states[s]`` is the start's
+    validity state, created the first time a scan reaches it and deleted
+    when the scan kills it.  States of unconsulted starts stay frozen
+    until then: ``catch_up`` replays the values they missed and says
+    whether ``(s, t]`` is valid, calling ``trace`` for the statistics it
+    evaluates, so the per-step work tracks the consulted starts instead
+    of the whole candidate set.  Under a sticky test ``catch_up`` first
+    checks a start the previous step did not reach with one full-window
+    statistic, which settles most doomed starts without a value fed.
+    Within a group, starts are tried in increasing extended cost
+    ``r[s].q + C(s, t)`` (ties to the latest start) and the scan stops at
+    the first valid one, which is the group optimum.  Starts the scan
+    finds invalid under a stable test are deleted from their group right
+    after that scan.  A group of two or more eligible starts is ordered
+    by one ``np.lexsort`` over ``arrays[k]``, its ``(s, -s, q)`` cached
+    until the group changes; its costs come from ``gaussian_costs`` for
+    the gaussian cost, which rounds exactly like the scalar closure, and
+    from the scalar closure otherwise.
     """
     n = len(series)
     test = config.test
@@ -159,14 +132,14 @@ def _run_lazy(
     css = series.cumsum_sq
     r: list[BiPoint] = [ZERO_BIPOINT]
     slink: list[int] = [0]
-    groups: dict[int, _Group] = {0: _Group(0, 0.0)}
+    groups: dict[int, list[int]] = {0: [0]}
+    arrays: dict[int, tuple] = {}
+    states: dict[int, ValidityState] = {}
 
     for t in range(1, n + 1):
         found: Optional[tuple[BiPoint, int]] = None
         for k in sorted(groups):
-            group = groups[k]
-            starts = group.s
-            q = group.q
+            starts = groups[k]
             m = len(starts) if min_len == 1 else bisect_right(starts, t - min_len)
             if m == 0:
                 continue
@@ -175,12 +148,12 @@ def _run_lazy(
                 # skipping the array build and sort there saves about a
                 # tenth of the solve time on a 200k-value series.
                 order = [0]
-                q_total = [q[0] + cost_fn(starts[0], t)]
+                q_total = [r[starts[0]].q + cost_fn(starts[0], t)]
             else:
-                if group.arrays is None:
+                if k not in arrays:
                     s_arr = np.array(starts)
-                    group.arrays = (s_arr, -s_arr, np.array(q))
-                s_arr, neg_s, q_arr = group.arrays
+                    arrays[k] = (s_arr, -s_arr, np.array([r[s].q for s in starts]))
+                s_arr, neg_s, q_arr = arrays[k]
                 if vectorize:
                     costs = gaussian_costs(cs, css, s_arr[:m], t)
                 else:
@@ -188,19 +161,21 @@ def _run_lazy(
                 q_total = costs + q_arr[:m]
                 # Increasing extended cost, ties to the latest start.
                 order = np.lexsort((neg_s[:m], q_total))
-            states = group.state
             dead: list[int] = []
             for i in order:
-                state = states[i]
+                s = starts[i]
+                state = states.get(s)
                 if state is None:
-                    state = states[i] = new_state(starts[i])
+                    state = states[s] = new_state(s)
                 if state.catch_up(series, t, trace):
-                    found = (BiPoint(k + 1, float(q_total[i])), starts[i])
+                    found = (BiPoint(k + 1, float(q_total[i])), s)
                     break
                 elif kill:
                     dead.append(i)
             if dead:
-                group.drop(dead)
+                for i in sorted(dead, reverse=True):
+                    del states[starts.pop(i)]
+                arrays.pop(k, None)
                 if not starts:
                     del groups[k]
             if found is not None:
@@ -212,11 +187,8 @@ def _run_lazy(
         r_t, s_t = found
         r.append(r_t)
         slink.append(s_t)
-        group = groups.get(r_t.k)
-        if group is None:
-            groups[r_t.k] = _Group(t, r_t.q)
-        else:
-            group.add(t, r_t.q)
+        groups.setdefault(r_t.k, []).append(t)
+        arrays.pop(r_t.k, None)
     return r, slink
 
 

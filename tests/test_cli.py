@@ -218,6 +218,11 @@ class TestDetect:
             assert main(["detect", "--input", str(good), "--test", "mood", "--gamma-rule",
                          "mood:0.01", f"--typical-len={typical}", "--out", out]) == 4
             assert f"--typical-len must be positive, got {typical}" in capsys.readouterr().err
+        for study in ("f1", "prop2"):  # no series length for a gamma rule or a scenario
+            for n in ("0", "-3"):
+                assert main(["bench", "--study", study, "--n", n, "--replicates", "1",
+                             "--out-json", out]) == 4
+                assert "at least 1" in capsys.readouterr().err
 
     def test_gamma_rules_wilcoxon_and_mood(self, tmp_path):
         csv_path = tmp_path / "w.csv"
@@ -276,6 +281,18 @@ class TestSimulate:
         assert code == 0
         assert json.loads(truth.read_text())["noise"] == "t2"
 
+    def test_sigma_scales_student_t_noise(self, tmp_path):
+        values = {}
+        for sigma in ("1", "2"):
+            out = tmp_path / f"t3-{sigma}.csv"
+            truth = tmp_path / f"t3-{sigma}.json"
+            assert main(["simulate", "--scenario", "none", "--n", "20", "--noise", "t3",
+                         "--sigma", sigma, "--seed", "3", "--out", str(out),
+                         "--truth", str(truth)]) == 0
+            values[sigma] = [float(line) for line in out.read_text().splitlines()[1:]]
+        assert values["2"] == [2.0 * v for v in values["1"]]
+        assert json.loads(truth.read_text())["noise"] == "t3(sigma=2)"
+
     def test_bad_scenario_parameters(self, tmp_path):
         code = main(["simulate", "--scenario", "none", "--n", "50", "--changes", "10",
                      "--out", str(tmp_path / "x.csv")])
@@ -306,11 +323,11 @@ class TestBench:
         summary = json.loads(json_path.read_text())
         assert summary["cells"][0]["scenario"] == "step"
 
-    def test_baseline_flag_adds_pelt(self, tmp_path):
+    def test_methods_list_runs_pelt_beside_svp(self, tmp_path):
         csv_path = tmp_path / "rows.csv"
         code = main(["bench", "--study", "f1", "--scenarios", "none", "--methods", "svp-glr",
-                     "--jumps", "1.0", "--replicates", "1", "--n", "80",
-                     "--baseline", "pelt", "--out-csv", str(csv_path)])
+                     "pelt", "--jumps", "1.0", "--replicates", "1", "--n", "80",
+                     "--out-csv", str(csv_path)])
         assert code == 0
         methods = {line.split(",")[1] for line in csv_path.read_text().splitlines()[1:]}
         assert methods == {"svp-glr", "pelt"}

@@ -478,6 +478,51 @@ class TestFeedCounts:
         assert len(calls) == count
 
 
+class TestStateLifetime:
+    """A start the scan kills under a stable test loses its validity state
+    before the next step; outputs cannot show a kept dead state."""
+
+    @pytest.mark.parametrize(
+        "kind,gamma,sticky",
+        [
+            ("glr_gaussian_focus", 2.0 * math.log(400), True),
+            ("range", 7.0, False),
+            ("glr_gaussian_focus", 2.0 * math.log(400), False),
+        ],
+        ids=["sticky-glr", "range", "glr"],
+    )
+    def test_killed_states_are_freed(self, monkeypatch, kind, gamma, sticky):
+        # the slotted states take no weakref, so a subclass counts them
+        created, killed, live = set(), set(), set()
+        checked = []
+        base = validity._STATE_CLASSES[kind]
+
+        class Counted(base):
+            def __init__(self, test, start):
+                super().__init__(test, start)
+                created.add(start)
+                live.add(start)
+
+            def __del__(self):
+                live.discard(self.start)
+
+            def catch_up(self, series, upto, trace=None):
+                if not checked or checked[-1] != upto:
+                    checked.append(upto)
+                    assert live == created - killed
+                valid = super().catch_up(series, upto, trace)
+                if not valid and self.test.gamma_stable:
+                    killed.add(self.start)
+                return valid
+
+        monkeypatch.setitem(validity._STATE_CLASSES, kind, Counted)
+        ts = generate(Scenario(name="up", n=400, jump=1.5, segments=4, seed=5))
+        test = ValidityTest(kind, gamma=gamma, sticky=sticky)
+        svp_run(ts, gaussian_config(test))
+        assert checked == list(range(1, 401))
+        assert bool(killed) == test.gamma_stable
+
+
 class TestRankInvariance:
     """A rank test sees only the order of the values, so a strictly
     increasing transform keeps every segment's validity and with it the
