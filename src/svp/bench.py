@@ -342,8 +342,9 @@ def run_study(config: StudyConfig) -> tuple[list[StudyRow], dict]:
     Returns rows plus a summary dict; crashed cells are recorded under
     summary["failures"] and the surviving rows are kept.
     """
-    if config.n < 1:
-        raise ConfigError(f"n must be at least 1, got {config.n}")
+    for name in ("n", "replicates", "segments"):
+        if getattr(config, name) < 1:
+            raise ConfigError(f"{name} must be at least 1, got {getattr(config, name)}")
     cells = [
         (scenario, method, jump, replicate, config)
         for scenario in config.scenarios
@@ -483,6 +484,8 @@ def run_prop2_audit(
     Cycles through the scenario patterns and the jumps 0, 0.75 and 1.5 to
     mix change-free and multi-change instances.
     """
+    if instances < 1:
+        raise ConfigError(f"instances must be at least 1, got {instances}")
     jumps = (0.0, 0.75, 1.5)
     svp_detector = make_detector("svp-glr-plain", n, 1)
     op_detector = make_detector("pelt", n, 1)

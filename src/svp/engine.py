@@ -11,11 +11,13 @@ created when a scan first reaches it and caught up only on demand, by one
 ``ValidityState.catch_up`` call over the values it missed.  That call
 owns the rest of the validity protocol: tracing, the stable-test stop
 rule and, under a sticky test, the full-window check that settles a
-start the previous step did not reach without feeding it.  Its answer
-is the segment's validity, so the engine names no validity kind.  With
-a stable test, starts the scan finds invalid are dropped for good, so
-the runner touches one small group per step, which is what makes the
-incremental-GLR configuration scale near-linearly on change-free data.
+start the previous step did not reach without feeding it.  The engine
+hands it the latest change, ``slink[t - 1]``, as a split the check may
+try first.  Its answer is the segment's validity, so the engine names
+no validity kind.  With a stable test, starts the scan finds invalid are
+dropped for good, so the runner touches one small group per step, which
+is what makes the incremental-GLR configuration scale near-linearly on
+change-free data.
 
 ``op_pelt_run`` is the penalized optimal-partitioning baseline; its
 ``prune`` flag applies the classic PELT inequality.
@@ -110,7 +112,10 @@ def _run_lazy(
     evaluates, so the per-step work tracks the consulted starts instead
     of the whole candidate set.  Under a sticky test ``catch_up`` first
     checks a start the previous step did not reach with one full-window
-    statistic, which settles most doomed starts without a value fed.
+    statistic, which settles most doomed starts without a value fed; the
+    latest change ``slink[t - 1]``, read once per step, is passed as a
+    split that the check may try first (for GLR, one constant-time gain
+    that settles most doomed starts before the full scan).
     Within a group, starts are tried in increasing extended cost
     ``r[s].q + C(s, t)`` (ties to the latest start) and the scan stops at
     the first valid one, which is the group optimum.  Starts the scan
@@ -138,6 +143,7 @@ def _run_lazy(
 
     for t in range(1, n + 1):
         found: Optional[tuple[BiPoint, int]] = None
+        split = slink[t - 1]
         for k in sorted(groups):
             starts = groups[k]
             m = len(starts) if min_len == 1 else bisect_right(starts, t - min_len)
@@ -167,7 +173,7 @@ def _run_lazy(
                 state = states.get(s)
                 if state is None:
                     state = states[s] = new_state(s)
-                if state.catch_up(series, t, trace):
+                if state.catch_up(series, t, trace, split):
                     found = (BiPoint(k + 1, float(q_total[i])), s)
                     break
                 elif kill:

@@ -13,6 +13,9 @@ layer's ``gaussian_costs``.  ``certainly_invalid`` lets the full
 scan settle a segment on its own when its value alone exceeds gamma;
 under a sticky test ``catch_up`` asks it first for a state the previous
 step did not reach, so a doomed start costs one scan, not a catch-up.
+For the GLR test an untraced catch-up first tries the gain at one split
+the caller names (the engine's latest change), a constant-time element
+of the full scan that settles most doomed starts on its own.
 
 The sticky flag turns any test into a stable one: once a growing
 segment fails, every extension of it reports invalid.  The range test
@@ -101,7 +104,7 @@ class ValidityState:
             return not self.tripped
         return self.statistic <= self.test.gamma
 
-    def catch_up(self, series: TimeSeries, upto: int, trace=None) -> bool:
+    def catch_up(self, series: TimeSeries, upto: int, trace=None, split: int = 0) -> bool:
         """Bring the state to ``(start, upto]`` and say whether it is valid.
 
         Feeds ``series.values[start + length : upto]``, one ``feed`` per
@@ -110,6 +113,8 @@ class ValidityState:
         one full-window statistic, ``certainly_invalid``; when that
         settles the segment, the state is marked tripped, nothing is fed
         and the statistic is traced once as ``(start, upto, value)``.
+        ``split`` is a hint for that check, passed on only when there is
+        no ``trace``, so traced runs see the full-window value.
         Otherwise, when given, ``trace(start, end, statistic)`` is called
         for every statistic the test evaluates: after each value under a
         sticky test, once at the end otherwise.  Under a stable test the
@@ -120,7 +125,7 @@ class ValidityState:
         start = self.start
         test = self.test
         if test.sticky and upto - start - self.length > 1:
-            value = certainly_invalid(series, start, upto, test)
+            value = certainly_invalid(series, start, upto, test, split if trace is None else 0)
             if value is not None:
                 self.tripped = True
                 if trace is not None:
@@ -163,20 +168,27 @@ class RangeState(ValidityState):
         return self._hi - self._lo
 
 
-def glr_scan_naive(series: TimeSeries, a: int, b: int) -> float:
-    """Gaussian likelihood-ratio scan over all interior split points.
+def glr_gains(series: TimeSeries, a: int, b: int) -> np.ndarray:
+    """Gaussian likelihood-ratio gains of the splits u = a+1..b-1 of (a, b].
 
     The gain of a split u is C(a,b) - C(a,u) - C(u,b) with the gaussian
     cost of ``gaussian_costs``; C(a,u) for u = a+1..b is one vector whose
-    last element is C(a,b).  Splits leave both sides non-empty; a segment
-    too short to split scores 0, the minimal element.
+    last element is C(a,b).  Empty when the segment is too short to split.
     """
     _check_range(series, a, b)
-    if b - a < 2:
-        return 0.0
     left = gaussian_costs(series.cumsum, series.cumsum_sq, a, np.arange(a + 1, b + 1))
     right = gaussian_costs(series.cumsum, series.cumsum_sq, np.arange(a + 1, b), b)
-    return float(max(np.max(left[-1] - left[:-1] - right), 0.0))
+    return left[-1] - left[:-1] - right
+
+
+def glr_scan_naive(series: TimeSeries, a: int, b: int) -> float:
+    """Gaussian likelihood-ratio scan: the largest of ``glr_gains``.
+
+    Splits leave both sides non-empty; a segment too short to split
+    scores 0, the minimal element.
+    """
+    gains = glr_gains(series, a, b)
+    return float(max(np.max(gains), 0.0)) if gains.size else 0.0
 
 
 class FocusState(ValidityState):
@@ -400,20 +412,33 @@ def segment_statistic(series: TimeSeries, a: int, b: int, kind: str) -> float:
 _GLR_SLACK = 1e-12
 
 
-def certainly_invalid(series: TimeSeries, s: int, t: int, test: ValidityTest) -> Optional[float]:
-    """The full-window statistic of (s, t] when it proves the segment invalid.
+def certainly_invalid(
+    series: TimeSeries, s: int, t: int, test: ValidityTest, split: int = 0
+) -> Optional[float]:
+    """A statistic of (s, t] that proves the segment invalid, or None.
 
     A segment whose own statistic exceeds gamma fails the test, sticky or
     not, so a state caught up to ``t`` would report it invalid.  Returns
     that statistic (from ``segment_statistic``) when it settles the
     question, None when the state must decide.  The range, Wilcoxon and
     Mood scans give the state's float exactly; the naive GLR scan must
-    clear gamma by the rounding both it and FOCuS may carry.
+    clear gamma by the rounding both it and FOCuS may carry.  For GLR
+    with ``s < split < t``, the gain C(s,t) - C(s,split) - C(split,t) is
+    tried first; it is bit for bit the scan's element at ``split``, so
+    when it clears the same limit it is returned in place of the scan's
+    maximum, which would clear it too.  Other kinds ignore ``split``.
     """
-    value = segment_statistic(series, s, t, test.kind)
     limit = test.gamma
     if test.kind == "glr_gaussian_focus":
         limit += _GLR_SLACK * (t - s) * float(series.cumsum_sq[t])
+        if s < split < t:
+            costs = gaussian_costs(
+                series.cumsum, series.cumsum_sq, np.array((s, s, split)), np.array((t, split, t))
+            )
+            gain = float(costs[0] - costs[1] - costs[2])
+            if gain > limit:
+                return gain
+    value = segment_statistic(series, s, t, test.kind)
     return value if value > limit else None
 
 

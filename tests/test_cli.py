@@ -359,6 +359,29 @@ class TestBench:
         assert "repeats must be at least 1" in capsys.readouterr().err
         assert not json_path.exists()
 
+    @pytest.mark.parametrize("replicates", ["0", "-1"])
+    @pytest.mark.parametrize("study,name", [("f1", "replicates"), ("prop2", "instances")])
+    def test_study_rejects_no_replicates(self, tmp_path, capsys, study, name, replicates):
+        json_path = tmp_path / "summary.json"
+        code = main(["bench", "--study", study, "--scenarios", "none", "--methods", "svp-glr",
+                     "--replicates", replicates, "--n", "50", "--out-json", str(json_path)])
+        assert code == 4
+        assert f"{name} must be at least 1, got {replicates}" in capsys.readouterr().err
+        assert not json_path.exists()
+
+    def test_f1_study_rejects_no_segments(self, tmp_path, capsys, monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("the study ran a cell before checking its segment count")
+
+        monkeypatch.setattr(svp.bench, "_run_cell", no_cell)
+        json_path = tmp_path / "summary.json"
+        code = main(["bench", "--study", "f1", "--scenarios", "up", "--methods", "svp-glr",
+                     "--replicates", "1", "--n", "50", "--segments", "0",
+                     "--out-json", str(json_path)])
+        assert code == 4
+        assert "segments must be at least 1, got 0" in capsys.readouterr().err
+        assert not json_path.exists()
+
     @pytest.mark.parametrize("lengths", [["200"], ["200", "200"]])
     def test_runtime_study_rejects_a_single_length(self, tmp_path, capsys, monkeypatch, lengths):
         def no_detector(*args):

@@ -390,8 +390,9 @@ class TestArrayScanDifferential:
 
 
 class TestCertificateDifferential:
-    """Starts settled by a full-window statistic leave the tables bit-identical
-    to the reference, which feeds every start every value."""
+    """Starts settled by a full-window statistic, or for GLR by the gain at
+    the latest change, leave the tables bit-identical to the reference,
+    which feeds every start every value."""
 
     @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
     @pytest.mark.parametrize(
@@ -408,12 +409,20 @@ class TestCertificateDifferential:
         self, monkeypatch, kind, gamma, cost_kind, n, offset
     ):
         settled = []
+        scans = []
+        segment_statistic = validity.segment_statistic
 
-        def spy(series, s, t, test):
-            value = certainly_invalid(series, s, t, test)
-            settled.append(value is not None)
+        def scan_spy(*args):
+            scans.append(args)
+            return segment_statistic(*args)
+
+        def spy(*args):
+            scans.clear()
+            value = certainly_invalid(*args)
+            settled.append((value is not None, bool(scans)))
             return value
 
+        monkeypatch.setattr(validity, "segment_statistic", scan_spy)
         monkeypatch.setattr(validity, "certainly_invalid", spy)
         base = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=5)).values
         ts = TimeSeries.from_values(np.round(2.0 * base) / 2.0 + offset)
@@ -422,7 +431,12 @@ class TestCertificateDifferential:
         )
         assert table_hex(svp_run(ts, config)) == table_hex(reference_run(ts, config))
         if kind != "glr_gaussian_focus" or offset == 0.0:
-            assert any(settled)
+            assert any(value for value, _ in settled)
+        if kind != "glr_gaussian_focus":
+            assert all(scanned for _, scanned in settled)  # only GLR uses the split
+        elif offset == 0.0:
+            # settled without a full scan: by the gain at the latest change
+            assert (True, False) in settled
 
 
 class TestFeedCounts:
@@ -443,9 +457,9 @@ class TestFeedCounts:
         # every step reaches the one consulted start, so it is never behind
         checked = []
 
-        def spy(series, s, t, test):
+        def spy(series, s, t, *args):
             checked.append((s, t))
-            return certainly_invalid(series, s, t, test)
+            return certainly_invalid(series, s, t, *args)
 
         monkeypatch.setattr(validity, "certainly_invalid", spy)
         n = 2000
@@ -477,6 +491,32 @@ class TestFeedCounts:
         assert result.segmentation.boundaries == boundaries
         assert len(calls) == count
 
+    @pytest.mark.parametrize("traced,scans", [(False, 71), (True, 538)], ids=["untraced", "traced"])
+    def test_up_k4_full_scan_count_is_pinned(self, monkeypatch, traced, scans):
+        # 538 starts are checked behind; untraced, the gain at the latest
+        # change settles 467 of them and 71 take the full scan, while a
+        # traced run scans every one so that it traces the full-window value
+        checks, full = [], []
+        segment_statistic = validity.segment_statistic
+
+        def check_spy(*args):
+            checks.append(args)
+            return certainly_invalid(*args)
+
+        def scan_spy(*args):
+            full.append(args)
+            return segment_statistic(*args)
+
+        monkeypatch.setattr(validity, "certainly_invalid", check_spy)
+        monkeypatch.setattr(validity, "segment_statistic", scan_spy)
+        n = 1000
+        ts = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=5))
+        test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
+        trace = (lambda s, t, v: None) if traced else None
+        result = svp_run(ts, gaussian_config(test), stat_trace=trace)
+        assert result.segmentation.boundaries == (0, 253, 499, 747, 1000)
+        assert (len(checks), len(full)) == (538, scans)
+
 
 class TestStateLifetime:
     """A start the scan kills under a stable test loses its validity state
@@ -506,11 +546,11 @@ class TestStateLifetime:
             def __del__(self):
                 live.discard(self.start)
 
-            def catch_up(self, series, upto, trace=None):
+            def catch_up(self, series, upto, *args):
                 if not checked or checked[-1] != upto:
                     checked.append(upto)
                     assert live == created - killed
-                valid = super().catch_up(series, upto, trace)
+                valid = super().catch_up(series, upto, *args)
                 if not valid and self.test.gamma_stable:
                     killed.add(self.start)
                 return valid

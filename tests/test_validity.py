@@ -26,7 +26,7 @@ from svp import (
     wilcoxon_threshold,
 )
 from svp import validity
-from svp.validity import VALIDITY_KINDS, certainly_invalid
+from svp.validity import VALIDITY_KINDS, certainly_invalid, glr_gains
 
 from oracles import (
     naive_glr,
@@ -334,6 +334,26 @@ def rounded_series(draw, min_size=2, max_size=60):
     return values + offset
 
 
+@st.composite
+def split_series(draw, max_size=40):
+    """Short series with ties and constant runs, at offsets up to 1e12
+    times their scale."""
+    n = draw(st.integers(3, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    shape = draw(st.sampled_from(["noise", "runs", "constant"]))
+    if shape == "noise":
+        values = rng.normal(size=n) * scale
+    elif shape == "runs":
+        values = np.repeat(rng.normal(size=n) * scale, rng.integers(1, 8, size=n))[:n]
+    else:
+        values = np.full(n, scale)
+    if draw(st.booleans()):
+        values = np.round(values)
+    offset = draw(st.sampled_from([0.0, -7.5, 1e4, -1e6, 1e8, 1e12]))
+    return values + offset * scale
+
+
 class TestCertificate:
     """``certainly_invalid`` only settles segments a caught-up state rejects."""
 
@@ -379,6 +399,40 @@ class TestCertificate:
         elif kind != "glr_gaussian_focus":
             # the exact scans settle every segment whose own value exceeds gamma
             assert own <= gamma
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=split_series(), data=st.data())
+    def test_split_gain_is_an_element_of_the_glr_scan(self, values, data):
+        n = values.size
+        s = data.draw(st.integers(0, n - 3))
+        t = data.draw(st.integers(s + 3, n))
+        u = data.draw(st.integers(s + 1, t - 1))
+        ts = TimeSeries.from_values(values)
+        gains = glr_gains(ts, s, t)
+        # a gamma no gain can miss returns the split gain itself
+        floor = ValidityTest("glr_gaussian_focus", gamma=-1e300, sticky=True)
+        gain = certainly_invalid(ts, s, t, floor, split=u)
+        assert gain.hex() == float(gains[u - s - 1]).hex()
+        full = glr_scan_naive(ts, s, t)
+        slack = validity._GLR_SLACK * (t - s) * float(ts.cumsum_sq[t])
+        # gammas whose limit (gamma plus slack) lands on or beside the gain
+        # or the full value, where rounding decides whether each settles
+        at_gain = gain - slack
+        gamma = data.draw(
+            st.sampled_from(
+                [at_gain, math.nextafter(at_gain, -math.inf), math.nextafter(at_gain, math.inf),
+                 full - slack, math.nextafter(full - slack, -math.inf), gain, full, 0.5 * gain, 0.0]
+            )
+        )
+        test = ValidityTest("glr_gaussian_focus", gamma=gamma, sticky=True)
+        by_split = certainly_invalid(ts, s, t, test, split=u)
+        by_scan = certainly_invalid(ts, s, t, test)
+        assert by_split == (gain if gain > gamma + slack else by_scan)
+        if by_split is not None:
+            assert by_scan is not None
+        # a split outside (s, t) is not tried
+        for outside in (0, s, t):
+            assert certainly_invalid(ts, s, t, test, split=outside) == by_scan
 
     @settings(max_examples=200, deadline=None)
     @given(values=rounded_series(max_size=14))
