@@ -342,7 +342,7 @@ def run_study(config: StudyConfig) -> tuple[list[StudyRow], dict]:
     Returns rows plus a summary dict; crashed cells are recorded under
     summary["failures"] and the surviving rows are kept.
     """
-    for name in ("n", "replicates", "segments"):
+    for name in ("n", "replicates", "segments", "workers"):
         if getattr(config, name) < 1:
             raise ConfigError(f"{name} must be at least 1, got {getattr(config, name)}")
     cells = [

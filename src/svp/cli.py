@@ -260,7 +260,17 @@ def _parse_noise(text: str, sigma: float) -> Noise:
     raise _CliError(EXIT_BAD_FLAGS, f"unknown noise {text!r} (use gaussian or t<df>)")
 
 
+def _require_finite(flag: str, values: Sequence[float], nonnegative: bool = False) -> None:
+    """Exit 4 naming ``flag`` unless every value is finite (and >= 0 if asked)."""
+    for value in values:
+        if not math.isfinite(value) or (nonnegative and value < 0):
+            kind = "a finite nonnegative" if nonnegative else "a finite"
+            raise _CliError(EXIT_BAD_FLAGS, f"{flag} must be {kind} number, got {value}")
+
+
 def cmd_simulate(args) -> int:
+    _require_finite("--jump", [args.jump])
+    _require_finite("--sigma", [args.sigma], nonnegative=True)
     noise = _parse_noise(args.noise, args.sigma)
     try:
         scenario = Scenario(
@@ -300,6 +310,12 @@ def cmd_bench(args) -> int:
             workers = int(text)
         except ValueError:
             raise _CliError(EXIT_BAD_FLAGS, f"SVP_THREADS must be an integer, got {text!r}")
+    if workers < 1:
+        source = "SVP_THREADS" if args.workers is None else "--workers"
+        raise _CliError(EXIT_BAD_FLAGS, f"{source} must be at least 1, got {workers}")
+    _require_finite("--jumps", args.jumps)
+    _require_finite("--sigma", [args.sigma], nonnegative=True)
+    _require_finite("--tolerance", [args.tolerance], nonnegative=True)
     if args.study == "runtime":
         rows = run_runtime_study(
             lengths=tuple(args.lengths),

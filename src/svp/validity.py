@@ -16,6 +16,11 @@ step did not reach, so a doomed start costs one scan, not a catch-up.
 For the GLR test an untraced catch-up first tries the gain at one split
 the caller names (the engine's latest change), a constant-time element
 of the full scan that settles most doomed starts on its own.
+``extend_while_valid`` feeds a state forward to its first invalid end,
+which is how the engine answers a long valid stretch in one call.  The
+sticky GLR state also bounds how far its maximum can have grown since it
+was last evaluated, in constant time per value, and evaluates only when
+that bound could exceed gamma.
 
 The sticky flag turns any test into a stable one: once a growing
 segment fails, every extension of it reports invalid.  The range test
@@ -63,13 +68,17 @@ class ValidityTest:
 class ValidityState:
     """Incremental statistic for the growing segment starting at ``start``.
 
-    ``feed`` advances by one observation; sticky tests evaluate at every
-    step so the trip flag sees every prefix, other tests defer the
-    evaluation until the statistic is read.  The empty segment carries
-    the minimal statistic 0 (nothing to split).
+    ``feed`` advances by one observation; sticky tests evaluate every
+    prefix that could trip, so the trip flag sees the first that does,
+    other tests defer the evaluation until the statistic is read.  A kind
+    may keep ``_ceiling``, a bound its statistic provably stays at or
+    below (inf when it keeps none); a sticky step whose ceiling is at
+    most gamma cannot trip, so it skips the evaluation and leaves the
+    statistic stale until it is read.  The empty segment carries the
+    minimal statistic 0 (nothing to split).
     """
 
-    __slots__ = ("test", "start", "length", "tripped", "_stat", "_stale")
+    __slots__ = ("test", "start", "length", "tripped", "_stat", "_stale", "_ceiling")
 
     def __init__(self, test: ValidityTest, start: int):
         self.test = test
@@ -78,11 +87,12 @@ class ValidityState:
         self.tripped = False
         self._stat = 0.0
         self._stale = False
+        self._ceiling = math.inf
 
     def feed(self, value: float) -> None:
         self.length += 1
         self._advance(value)
-        if self.test.sticky:
+        if self.test.sticky and self._ceiling > self.test.gamma:
             stat = self._evaluate()
             self._stat = stat
             self._stale = False
@@ -142,6 +152,38 @@ class ValidityState:
         if trace is not None and each is None:
             trace(start, upto, self.statistic)
         return self.is_valid
+
+    def extend_while_valid(self, series: TimeSeries, upto: int, trace=None) -> int:
+        """Feed values while the segment stays valid; return the first invalid end.
+
+        Feeds ``series.values[start + length : upto]`` one ``feed`` per
+        value and stops right after the first end e at which
+        ``(start, e]`` is invalid, returning e, or returns ``upto + 1``
+        when every end up to ``upto`` is valid.  ``trace`` sees what a
+        ``catch_up`` per end would show: every statistic under a sticky
+        test, the invalid one included; otherwise the statistic of each
+        valid end, so a ``catch_up`` to the returned end traces that one
+        just once.  The values are sliced in chunks that double in size,
+        so a long run converts each value once and never holds the tail
+        of the series as a list.
+        """
+        start = self.start
+        each = trace if self.test.sticky else None
+        values = series.values
+        end = start + self.length
+        size = 1
+        while end < upto:
+            for value in values[end : min(end + size, upto)].tolist():
+                self.feed(value)
+                end += 1
+                if each is not None:
+                    each(start, end, self.statistic)
+                if not self.is_valid:
+                    return end
+                if trace is not None and each is None:
+                    trace(start, end, self.statistic)
+            size *= 2
+        return upto + 1
 
     def _advance(self, value: float) -> None:
         raise NotImplementedError
@@ -206,15 +248,31 @@ class FocusState(ValidityState):
     the current (prefix sum, length, fit).  The lists start with the
     anchor (0.0, 0, 0.0), which pruning compares against and never drops;
     it evaluates to exactly 0.0.
+
+    Appending x to a window of length L and mean m raises the gain of
+    every split by at most the window's own cost increase
+    L/(L+1) * (x - m)**2 / 2, since the suffix cost cannot fall, and the
+    new split gains exactly that.  So the max grows by at most this
+    constant-time increment per value: ``_grow`` sums the increments
+    since the statistic was last evaluated, and ``_ceiling`` is that
+    statistic plus ``_grow`` plus a rounding margin, ``_GLR_SLACK`` with
+    the window's own sum of squares ``_sq``, taken twice: once for the
+    evaluated statistic and once for the one the ceiling stands for (the
+    increments' own rounding, a few eps per unit of L * ``_sq``, fits in
+    what the slack leaves over).  Ward, Romano, Eckley & Fearnhead (2024)
+    show that a FOCuS step need not evaluate every piece; this bound
+    skips the whole evaluation where it cannot reach gamma.
     """
 
-    __slots__ = ("_pending", "_lo", "_hi")
+    __slots__ = ("_pending", "_lo", "_hi", "_grow", "_sq")
 
     def __init__(self, test: ValidityTest, start: int):
         super().__init__(test, start)
         self._pending = (0.0, 0, 0.0)
         self._lo = []
         self._hi = []
+        self._grow = 0.0
+        self._sq = 0.0
 
     def _advance(self, value: float) -> None:
         piece = self._pending
@@ -224,6 +282,13 @@ class FocusState(ValidityState):
         lo.append(piece)
         sn = piece[0] + value
         n = piece[1] + 1
+        grow = self._grow if self._stale else 0.0
+        if n > 1:
+            d = value - piece[0] / piece[1]
+            grow += d * d * piece[1] / (2.0 * n)
+        self._grow = grow
+        self._sq = sq = self._sq + value * value
+        self._ceiling = self._stat + grow + 2.0 * _GLR_SLACK * n * sq
         while len(hi) > 1:
             st1, tau1, _ = hi[-1]
             st0, tau0, _ = hi[-2]
@@ -409,6 +474,8 @@ def segment_statistic(series: TimeSeries, a: int, b: int, kind: str) -> float:
 # one by a small multiple of eps * (t - s) * cumsum_sq[t].  The slack is
 # about 4500 eps per unit of that; where it reaches gamma's scale (large
 # offsets, long windows) the certificate gives up and the state decides.
+# FocusState's growth bound takes the same slack, with the window's own
+# sum of squares, as its rounding margin.
 _GLR_SLACK = 1e-12
 
 

@@ -402,3 +402,50 @@ class TestBench:
                      "--out-json", str(tmp_path / "summary.json")])
         assert code == 4
         assert "SVP_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--jumps", "1.0", "nan"], "--jumps"),
+            (["--jumps", "inf"], "--jumps"),
+            (["--sigma", "nan"], "--sigma"),
+            (["--sigma", "-1"], "--sigma"),
+            (["--tolerance", "-1"], "--tolerance"),
+            (["--tolerance", "nan"], "--tolerance"),
+            (["--workers", "0"], "--workers"),
+            (["--workers", "-2"], "--workers"),
+        ],
+    )
+    def test_bad_numeric_flags_fail_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                    flags, named):
+        def no_cell(*args):
+            raise AssertionError("the study ran a cell before checking its flags")
+
+        monkeypatch.setattr(svp.bench, "_run_cell", no_cell)
+        json_path = tmp_path / "summary.json"
+        code = main(["bench", "--study", "f1", "--scenarios", "up", "--methods", "svp-glr",
+                     "--replicates", "1", "--n", "50", *flags, "--out-json", str(json_path)])
+        assert code == 4
+        assert named in capsys.readouterr().err
+        assert not json_path.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_below_one_is_rejected(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("SVP_THREADS", threads)
+        code = main(["bench", "--study", "f1", "--scenarios", "none", "--methods", "svp-glr",
+                     "--jumps", "1.0", "--replicates", "1", "--n", "50",
+                     "--out-json", str(tmp_path / "summary.json")])
+        assert code == 4
+        assert f"SVP_THREADS must be at least 1, got {threads}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [(["--jump", "nan"], "--jump"), (["--sigma", "inf"], "--sigma"), (["--sigma", "nan"], "--sigma")],
+)
+def test_simulate_rejects_non_finite_flags(tmp_path, capsys, flags, named):
+    out = tmp_path / "series.csv"
+    code = main(["simulate", "--scenario", "up", "--n", "50", *flags, "--out", str(out)])
+    assert code == 4
+    assert named in capsys.readouterr().err
+    assert not out.exists()

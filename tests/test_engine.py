@@ -290,9 +290,20 @@ def consulted_groups(events):
 
     A consult costs the group's eligible starts, may sort them, then
     catches up at least one; the next cost event opens the next consult.
+    A run-ahead over d steps is no consult: the d costs that follow it,
+    one per step, fill its span.
     """
     groups = []
+    fill = 0
     for event, size in events:
+        if event == "run":
+            assert fill == 0
+            fill = size
+            continue
+        if event == "cost" and fill:
+            assert size <= fill, (size, fill)
+            fill -= size
+            continue
         if event == "cost" and (not groups or groups[-1][2]):
             groups.append([0, [], False])
         if event == "cost":
@@ -301,13 +312,15 @@ def consulted_groups(events):
             groups[-1][1].append(size)
         else:
             groups[-1][2] = True
+    assert fill == 0
     return [(costed, sorts) for costed, sorts, _ in groups]
 
 
 class TestArrayScanDifferential:
     """Every consult of two or more eligible starts is ordered by one
-    ``np.lexsort``, whatever the cost; single-start consults skip it.  The
-    tables match the reference bit for bit, exact ties included."""
+    ``np.lexsort``, whatever the cost; single-start consults and run-ahead
+    spans skip it.  The tables match the reference bit for bit, exact ties
+    included."""
 
     @pytest.mark.parametrize(
         "kind,sticky,gamma,cost_kind,min_seg_len,runs",
@@ -338,7 +351,7 @@ class TestArrayScanDifferential:
         gaussian_costs = engine.gaussian_costs
 
         def gaussian_spy(cs, css, a, b):
-            events.append(("cost", np.size(a)))
+            events.append(("cost", np.broadcast(a, b).size))
             return gaussian_costs(cs, css, a, b)
 
         make_cost_fn = engine.make_cost_fn
@@ -358,10 +371,19 @@ class TestArrayScanDifferential:
             events.append(("catch_up", 1))
             return catch_up(state, *args)
 
+        extend = validity.ValidityState.extend_while_valid
+
+        def extend_spy(state, *args):
+            first = state.start + state.length + 1
+            stop = extend(state, *args)
+            events.append(("run", stop - first))
+            return stop
+
         monkeypatch.setattr(np, "lexsort", sort_spy)
         monkeypatch.setattr(engine, "gaussian_costs", gaussian_spy)
         monkeypatch.setattr(engine, "make_cost_fn", counted_make_cost_fn)
         monkeypatch.setattr(validity.ValidityState, "catch_up", catch_up_spy)
+        monkeypatch.setattr(validity.ValidityState, "extend_while_valid", extend_spy)
         rng = np.random.default_rng(17)
         config = EngineConfig(
             cost=CostModel(cost_kind),
@@ -439,6 +461,35 @@ class TestCertificateDifferential:
             assert (True, False) in settled
 
 
+class TestRunAheadDifferential:
+    """Run-ahead answers long valid stretches in one feed loop; on long
+    change-free and long-segment series its tables stay bit-identical to
+    the reference, which consults every start at every step."""
+
+    @pytest.mark.parametrize("min_seg_len", [1, 5])
+    @pytest.mark.parametrize(
+        "kind,gamma", [("glr_gaussian_focus", 2.0 * math.log(1500)), ("range", 5.5)],
+        ids=["glr", "range"],
+    )
+    @pytest.mark.parametrize("name,segments", [("none", 1), ("up", 3)])
+    def test_matches_reference(self, monkeypatch, name, segments, kind, gamma, min_seg_len):
+        ran = []
+        extend = validity.ValidityState.extend_while_valid
+
+        def extend_spy(state, *args):
+            first = state.start + state.length + 1
+            stop = extend(state, *args)
+            ran.append(stop - first)
+            return stop
+
+        monkeypatch.setattr(validity.ValidityState, "extend_while_valid", extend_spy)
+        ts = generate(Scenario(name=name, n=1500, jump=1.5, segments=segments, seed=3))
+        config = gaussian_config(ValidityTest(kind, gamma=gamma), min_seg_len=min_seg_len)
+        lazy = svp_run(ts, config)
+        assert table_hex(lazy) == table_hex(reference_run(ts, config))
+        assert max(ran) >= 100
+
+
 class TestFeedCounts:
     """``stat_trace`` calls are deterministic: one per value fed to a sticky
     state, one per start a full-window statistic settles, one per consulted
@@ -467,6 +518,29 @@ class TestFeedCounts:
         test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
         assert svp_run(ts, gaussian_config(test)).segmentation.boundaries == (0, n)
         assert checked == []
+
+    @pytest.mark.parametrize("traced,evaluations", [(False, 73), (True, 2000)],
+                             ids=["untraced", "traced"])
+    def test_change_free_sticky_glr_evaluation_count_is_pinned(
+        self, monkeypatch, traced, evaluations
+    ):
+        # untraced, the growth bound leaves FOCuS to evaluate only where
+        # the statistic could have reached gamma; a traced run reads, and
+        # so evaluates, every value
+        calls = []
+        evaluate = validity.FocusState._evaluate
+
+        def spy(state):
+            calls.append(state.length)
+            return evaluate(state)
+
+        monkeypatch.setattr(validity.FocusState, "_evaluate", spy)
+        n = 2000
+        ts = generate(Scenario(name="none", n=n, seed=7))
+        test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
+        trace = (lambda s, t, v: None) if traced else None
+        assert svp_run(ts, gaussian_config(test), trace).segmentation.boundaries == (0, n)
+        assert len(calls) == evaluations
 
     @pytest.mark.parametrize(
         "kind,gamma,sticky,boundaries,count",
@@ -519,8 +593,9 @@ class TestFeedCounts:
 
 
 class TestStateLifetime:
-    """A start the scan kills under a stable test loses its validity state
-    before the next step; outputs cannot show a kept dead state."""
+    """A start the scan or a run-ahead kills under a stable test loses its
+    validity state before the next step; outputs cannot show a kept dead
+    state."""
 
     @pytest.mark.parametrize(
         "kind,gamma,sticky",
@@ -534,7 +609,7 @@ class TestStateLifetime:
     def test_killed_states_are_freed(self, monkeypatch, kind, gamma, sticky):
         # the slotted states take no weakref, so a subclass counts them
         created, killed, live = set(), set(), set()
-        checked = []
+        checked, spans = [], []
         base = validity._STATE_CLASSES[kind]
 
         class Counted(base):
@@ -555,12 +630,25 @@ class TestStateLifetime:
                     killed.add(self.start)
                 return valid
 
+            def extend_while_valid(self, series, upto, *args):
+                # a run-ahead answers its steps without a catch_up
+                assert live == created - killed
+                first = self.start + self.length + 1
+                stop = super().extend_while_valid(series, upto, *args)
+                spans.append(range(first, stop))
+                if stop <= upto and self.test.gamma_stable:
+                    killed.add(self.start)
+                return stop
+
         monkeypatch.setitem(validity._STATE_CLASSES, kind, Counted)
         ts = generate(Scenario(name="up", n=400, jump=1.5, segments=4, seed=5))
         test = ValidityTest(kind, gamma=gamma, sticky=sticky)
         svp_run(ts, gaussian_config(test))
-        assert checked == list(range(1, 401))
+        ran = [t for span in spans for t in span]
+        assert sorted(checked + ran) == list(range(1, 401))
         assert bool(killed) == test.gamma_stable
+        if test.gamma_stable:
+            assert ran
 
 
 class TestRankInvariance:

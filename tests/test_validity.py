@@ -311,6 +311,38 @@ class TestCatchUp:
         assert [t for _, t, _ in trace] == [7, 8, 9, 10]
         assert trace[-1][2] == state.statistic
 
+    @pytest.mark.parametrize(
+        "kind,sticky,gamma",
+        [
+            ("glr_gaussian_focus", True, 2.0),
+            ("glr_gaussian_focus", False, 2.0),
+            ("range", False, 1.0),
+            ("wilcoxon", True, 4.0),
+            ("mood", False, 1.0),
+        ],
+    )
+    @pytest.mark.parametrize("start,upto", [(0, 10), (2, 10), (5, 10), (0, 3), (8, 9)])
+    def test_extend_while_valid_is_catch_up_per_end(self, kind, sticky, gamma, start, upto):
+        # a run-ahead traces and stops as a catch_up to each end in turn
+        # would.  The engine drops a stable test's start at the end it
+        # returns and consults any other start there, where a catch_up
+        # adds just that end's statistic
+        test = ValidityTest(kind, gamma, sticky)
+        stepped, ran = test.new_state(start), test.new_state(start)
+        stepped_trace, ran_trace = [], []
+        expected = upto + 1
+        for end in range(start + 1, upto + 1):
+            if not stepped.catch_up(self.SERIES, end, lambda *r: stepped_trace.append(r)):
+                expected = end
+                break
+        stop = ran.extend_while_valid(self.SERIES, upto, lambda *r: ran_trace.append(r))
+        assert stop == expected
+        assert ran.length == stepped.length == min(stop, upto) - start
+        if stop <= upto and not test.gamma_stable:
+            assert not ran.catch_up(self.SERIES, stop, lambda *r: ran_trace.append(r))
+        assert ran_trace == stepped_trace
+        assert ran.is_valid == stepped.is_valid
+
     def test_removed_naive_glr_kind_is_rejected(self):
         with pytest.raises(DomainError):
             ValidityTest("glr_gaussian_naive", 1.0)
@@ -449,6 +481,68 @@ class TestCertificate:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class _EvaluatingFocus(validity.FocusState):
+    """A FOCuS state without a ceiling: a sticky feed evaluates every value."""
+
+    __slots__ = ()
+
+    def _advance(self, value):
+        super()._advance(value)
+        self._ceiling = math.inf
+
+
+class TestGrowthBound:
+    """A sticky FOCuS feed skips ``_evaluate`` only where the growth bound
+    proves the statistic at or below gamma, so it trips at the same
+    length as a state that evaluates every value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=split_series(max_size=120), data=st.data())
+    def test_skipping_state_trips_like_an_evaluating_one(self, values, data):
+        values = values.tolist()
+        gamma = data.draw(st.sampled_from([0.0, 1e-6, 0.05, 0.5, 2.0, 9.0]))
+        test = ValidityTest("glr_gaussian_focus", gamma, sticky=True)
+        skipping, evaluating = validity.FocusState(test, 0), _EvaluatingFocus(test, 0)
+        for value in values:
+            skipping.feed(value)
+            evaluating.feed(value)
+            assert skipping.tripped == evaluating.tripped
+            if skipping._stale:
+                # a skipped step: the exact evaluation clears gamma
+                exact = skipping._evaluate()
+                assert exact <= gamma
+                assert exact == evaluating.statistic
+            if skipping.tripped:
+                break
+        assert skipping.length == evaluating.length
+        # a read statistic is the exact one, skipped or not
+        assert skipping.statistic == evaluating.statistic
+
+    def test_change_free_run_skips_most_evaluations(self, monkeypatch):
+        calls = []
+        evaluate = validity.FocusState._evaluate
+
+        def spy(state):
+            calls.append(state.length)
+            return evaluate(state)
+
+        monkeypatch.setattr(validity.FocusState, "_evaluate", spy)
+        n = 5000
+        values = np.random.default_rng(60).normal(size=n).tolist()
+        state = ValidityTest("glr_gaussian_focus", 2.0 * math.log(n), sticky=True).new_state(0)
+        for value in values:
+            state.feed(value)
+        assert state.is_valid
+        assert 0 < len(calls) < n // 10
+        # traced, every value is read and so evaluated
+        calls.clear()
+        traced = ValidityTest("glr_gaussian_focus", 2.0 * math.log(n), sticky=True).new_state(0)
+        for value in values:
+            feed_and_read(traced, value)
+        assert calls == list(range(1, n + 1))
+        assert traced.statistic == state.statistic
 
 
 class TestRankInvariance:
