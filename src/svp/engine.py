@@ -3,15 +3,18 @@
 ``svp_run`` minimizes (segment count, total cost) lexicographically over
 all partitions whose every segment passes the validity test.  Candidate
 last-change indices (starts) are grouped by their segment count, each
-group a list of starts whose DP values live only in the table.
+group a heap of starts whose DP values live only in the table.
 Each step consults the group with the fewest segments first, in order
-of extended cost with ties to the latest start: one ``np.lexsort`` per
-group of two or more eligible starts.  A start's validity state is
-created when a scan first reaches it and caught up only on demand, by one
-``ValidityState.catch_up`` call over the values it missed.  That call
-owns the rest of the validity protocol: tracing, the stable-test stop
-rule and, under a sticky test, the full-window check that settles a
-start the previous step did not reach without feeding it.  The engine
+of extended cost with ties to the latest start.  The heap holds lower
+bounds on the starts' extended costs, and a consult recomputes a cost
+with the scalar cost closure only when its bound reaches the top, so a
+start whose bound stays above the group optimum is not costed at all.
+A start's validity state is created when a scan first reaches it and
+caught up only on demand, by one ``ValidityState.catch_up`` call over
+the values it missed.  That call owns the rest of the validity
+protocol: tracing, the stable-test stop rule and, under a sticky test,
+the full-window check that settles a start the previous step did not
+reach without feeding it.  The engine
 hands it the latest change, ``slink[t - 1]``, as a split the check may
 try first.  Its answer is the segment's validity, so the engine names
 no validity kind.  With a stable test, starts the scan finds invalid are
@@ -28,7 +31,9 @@ the segment's first invalid end at once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import sys
+from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -100,33 +105,68 @@ def svp_run(
     return SvpResult(table=table, segmentation=backtrack(table))
 
 
+def _stale_slack(series: TimeSeries, model: CostModel) -> float:
+    """How far a cost may fall as its segment grows: C(s, t) >= C(s, t') - slack.
+
+    A key ``r[s].q + C(s, t')`` computed at an earlier step, minus this
+    slack, is then a lower bound on the key at any later step t.  The MAD
+    closure rounds once from exact sums and the exact cost never falls, so
+    its slack is 0.  The gaussian closure differences prefix sums whose
+    rounding grows with their length.  On the stored sums the exact cost
+    strays from the true one by at most 0.75 eps n cumsum_sq[n] (a
+    segment's sum is off by eps/2 times the sum of |cumsum| over it, and
+    that times the segment's sum is at most (sum |y|)^2 <= n
+    cumsum_sq[n]); the closure's own roundings add 1.5 eps cumsum_sq[n].
+    Two costs of one start thus differ from a monotone pair by twice that,
+    and adding q (at most cumsum_sq[n]) rounds by 0.5 eps cumsum_sq[n]
+    more: (1.5 n + 3.5) eps cumsum_sq[n] in all, which the slack covers
+    with room.  Poisson costs drop data-only terms and trimmed spreads can
+    shrink, so those costs are not monotone and every key of theirs is
+    recomputed.
+    """
+    if model.kind == "mad":
+        return 0.0
+    if model.kind == "gaussian":
+        n = len(series)
+        return 4.0 * (n + 2) * sys.float_info.epsilon * float(series.cumsum_sq[n])
+    return math.inf
+
+
 def _run_lazy(
     series: TimeSeries, config: EngineConfig, trace: Optional[StatTrace]
 ) -> tuple[list[BiPoint], list[int]]:
     """Bucketed runner: consult starts grouped by segment count.
 
-    ``groups[k]`` lists the starts ``s`` (increasing) with ``r[s].k == k``;
-    a start's DP cost is read from ``r``.  ``states[s]`` is the start's
-    validity state, created the first time a scan reaches it and deleted
-    when the scan kills it.  States of unconsulted starts stay frozen
-    until then: ``catch_up`` replays the values they missed and says
-    whether ``(s, t]`` is valid, calling ``trace`` for the statistics it
-    evaluates, so the per-step work tracks the consulted starts instead
-    of the whole candidate set.  Under a sticky test ``catch_up`` first
-    checks a start the previous step did not reach with one full-window
-    statistic, which settles most doomed starts without a value fed; the
-    latest change ``slink[t - 1]``, read once per step, is passed as a
-    split that the check may try first (for GLR, one constant-time gain
-    that settles most doomed starts before the full scan).
+    ``groups[k]`` holds the starts ``s`` with ``r[s].k == k``: a heap of
+    ``(key, -s, s)`` entries and a list of waiting starts (increasing)
+    that no consult has found eligible yet; a start's DP cost is read
+    from ``r``.  ``states[s]`` is the start's validity state, created the
+    first time a scan reaches it and deleted when the scan kills it.
+    States of unconsulted starts stay frozen until then: ``catch_up``
+    replays the values they missed and says whether ``(s, t]`` is valid,
+    calling ``trace`` for the statistics it evaluates, so the per-step
+    work tracks the consulted starts instead of the whole candidate set.
+    Under a sticky test ``catch_up`` first checks a start the previous
+    step did not reach with one full-window statistic, which settles most
+    doomed starts without a value fed; the latest change ``slink[t - 1]``,
+    read once per step, is passed as a split that the check may try first
+    (for GLR, one constant-time gain that settles most doomed starts
+    before the full scan).
+
     Within a group, starts are tried in increasing extended cost
     ``r[s].q + C(s, t)`` (ties to the latest start) and the scan stops at
-    the first valid one, which is the group optimum.  Starts the scan
-    finds invalid under a stable test are deleted from their group right
-    after that scan.  A group of two or more eligible starts is ordered
-    by one ``np.lexsort`` over ``arrays[k]``, its ``(s, -s, q)`` cached
-    until the group changes; its costs come from ``gaussian_costs`` for
-    the gaussian cost, which rounds exactly like the scalar closure, and
-    from the scalar closure otherwise.
+    the first valid one, which is the group optimum.  Every heap key is a
+    lower bound on its start's extended cost at any later step: a consult
+    moves its newly eligible waiting starts into the heap with the key
+    ``r[s].q - slack`` (every cost is >= 0), and a key computed at step t
+    goes back lowered by ``_stale_slack``.  The scan keeps the keys it
+    computes at step t in a second heap, ``exact``; while the smallest
+    bound lies below the smallest exact key, that start is costed with
+    the scalar closure and moves over, otherwise the smallest exact key's
+    start is consulted.  So starts are consulted in the order a full sort
+    of the group would give, and a start whose bound stays above the
+    group optimum is never costed.  Starts the scan finds invalid under a
+    stable test are dropped.
 
     Run-ahead: when the start s found at step t is the only eligible one
     in its group k and every lower group, it answers each later step up
@@ -134,8 +174,9 @@ def _run_lazy(
     until (s, t'] turns invalid.  ``extend_while_valid`` feeds s to that
     end, the steps in between get ``r[s].q`` plus their costs (one
     ``gaussian_costs`` call, else the closure per step), ``slink`` s and
-    a place in group k + 1, and the loop resumes at the stop step, with s
-    dropped first if a stable test failed it there.
+    a place among the waiting starts of group k + 1, and the loop resumes
+    at the stop step, with s dropped first if a stable test failed it
+    there.
     """
     n = len(series)
     test = config.test
@@ -143,13 +184,13 @@ def _run_lazy(
     kill = test.gamma_stable
     min_len = config.min_seg_len
     cost_fn = make_cost_fn(series, config.cost)
+    slack = _stale_slack(series, config.cost)
     vectorize = config.cost.kind == "gaussian"
     cs = series.cumsum
     css = series.cumsum_sq
     r: list[BiPoint] = [ZERO_BIPOINT]
     slink: list[int] = [0]
-    groups: dict[int, list[int]] = {0: [0]}
-    arrays: dict[int, tuple] = {}
+    groups: dict[int, tuple[list, deque[int]]] = {0: ([], deque([0]))}
     states: dict[int, ValidityState] = {}
 
     t = 1
@@ -160,51 +201,42 @@ def _run_lazy(
         # eligible in its group or a lower one.
         horizon = n + 1
         for k in sorted(groups):
-            starts = groups[k]
-            m = len(starts) if min_len == 1 else bisect_right(starts, t - min_len)
-            if m == 0:
-                horizon = min(horizon, starts[0] + min_len)
-                continue
-            if m == 1:
-                # A group of one eligible start needs no array build or sort.
-                order = [0]
-                q_total = [r[starts[0]].q + cost_fn(starts[0], t)]
-            else:
-                if k not in arrays:
-                    s_arr = np.array(starts)
-                    arrays[k] = (s_arr, -s_arr, np.array([r[s].q for s in starts]))
-                s_arr, neg_s, q_arr = arrays[k]
-                if vectorize:
-                    costs = gaussian_costs(cs, css, s_arr[:m], t)
-                else:
-                    costs = np.array([cost_fn(s, t) for s in starts[:m]])
-                q_total = costs + q_arr[:m]
-                # Increasing extended cost, ties to the latest start.
-                order = np.lexsort((neg_s[:m], q_total))
-            dead: list[int] = []
-            for i in order:
-                s = starts[i]
+            heap, waiting = groups[k]
+            while waiting and waiting[0] <= t - min_len:
+                s = waiting.popleft()
+                heappush(heap, (r[s].q - slack, -s, s))
+            # Entries costed at step t, and consulted starts that stay in
+            # the group; both go back to the heap as lower bounds.
+            exact: list[tuple[float, int, int]] = []
+            kept: list[tuple[float, int, int]] = []
+            while heap or exact:
+                if heap and (not exact or heap[0] < exact[0]):
+                    _, neg_s, s = heappop(heap)
+                    heappush(exact, (r[s].q + cost_fn(s, t), neg_s, s))
+                    continue
+                entry = heappop(exact)
+                key, _, s = entry
                 state = states.get(s)
                 if state is None:
                     state = states[s] = new_state(s)
                 if state.catch_up(series, t, trace, split):
-                    found = (BiPoint(k + 1, float(q_total[i])), s)
+                    found = (BiPoint(k + 1, key), s)
+                    kept.append(entry)
                     break
-                elif kill:
-                    dead.append(i)
-            if dead:
-                for i in sorted(dead, reverse=True):
-                    del states[starts.pop(i)]
-                arrays.pop(k, None)
-                if not starts:
-                    del groups[k]
+                if kill:
+                    del states[s]
+                else:
+                    kept.append(entry)
+            for key, neg_s, s in exact + kept:
+                heappush(heap, (key - slack, neg_s, s))
+            if len(heap) > (found is not None):
+                horizon = t
+            elif waiting:
+                horizon = min(horizon, waiting[0] + min_len)
+            elif not heap:
+                del groups[k]
             if found is not None:
-                other = 1 if starts[0] == found[1] else 0
-                if len(starts) > other:
-                    horizon = min(horizon, starts[other] + min_len)
                 break
-            if starts:
-                horizon = min(horizon, starts[0] + min_len)
         if found is None:
             r.append(INF_BIPOINT)
             slink.append(0)
@@ -213,8 +245,7 @@ def _run_lazy(
         r_t, s_t = found
         r.append(r_t)
         slink.append(s_t)
-        groups.setdefault(r_t.k, []).append(t)
-        arrays.pop(r_t.k, None)
+        groups.setdefault(r_t.k, ([], deque()))[1].append(t)
         t += 1
         if horizon > t:
             k = r_t.k - 1
@@ -227,13 +258,14 @@ def _run_lazy(
                     run = [q + cost_fn(s_t, e) for e in range(t, stop)]
                 r.extend([BiPoint(k + 1, v) for v in run])
                 slink.extend([s_t] * (stop - t))
-                groups[k + 1].extend(range(t, stop))
+                groups[k + 1][1].extend(range(t, stop))
             if stop < horizon and kill:
-                starts = groups[k]
-                starts.remove(s_t)
+                # s_t is the one entry of its group's heap: no other
+                # start of the group was eligible
+                heap, waiting = groups[k]
+                heap.pop()
                 del states[s_t]
-                arrays.pop(k, None)
-                if not starts:
+                if not waiting:
                     del groups[k]
             t = stop
     return r, slink

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from svp import (
 
 from svp import engine, validity
 from svp.bench import Scenario, generate
-from svp.validity import certainly_invalid, sidak_threshold, wilcoxon_threshold
+from svp.costs import make_cost_fn
+from svp.validity import VALIDITY_KINDS, certainly_invalid, sidak_threshold, wilcoxon_threshold
 
 from oracles import brute_force_op, brute_force_svp, reference_run
+from test_validity import split_series
 
 
 def gaussian_config(test, **kwargs):
@@ -285,41 +288,29 @@ def table_hex(result):
     )
 
 
-def consulted_groups(events):
-    """Starts costed and sizes sorted per consulted group, from an engine log.
+def spy_cost_calls(monkeypatch):
+    """The (a, b) of every scalar cost-closure call the engine makes, in order."""
+    calls = []
+    make = engine.make_cost_fn
 
-    A consult costs the group's eligible starts, may sort them, then
-    catches up at least one; the next cost event opens the next consult.
-    A run-ahead over d steps is no consult: the d costs that follow it,
-    one per step, fill its span.
-    """
-    groups = []
-    fill = 0
-    for event, size in events:
-        if event == "run":
-            assert fill == 0
-            fill = size
-            continue
-        if event == "cost" and fill:
-            assert size <= fill, (size, fill)
-            fill -= size
-            continue
-        if event == "cost" and (not groups or groups[-1][2]):
-            groups.append([0, [], False])
-        if event == "cost":
-            groups[-1][0] += size
-        elif event == "sort":
-            groups[-1][1].append(size)
-        else:
-            groups[-1][2] = True
-    assert fill == 0
-    return [(costed, sorts) for costed, sorts, _ in groups]
+    def counted_make_cost_fn(series, model):
+        cost_fn = make(series, model)
+
+        def counted(a, b):
+            calls.append((a, b))
+            return cost_fn(a, b)
+
+        return counted
+
+    monkeypatch.setattr(engine, "make_cost_fn", counted_make_cost_fn)
+    return calls
 
 
-class TestArrayScanDifferential:
-    """Every consult of two or more eligible starts is ordered by one
-    ``np.lexsort``, whatever the cost; single-start consults and run-ahead
-    spans skip it.  The tables match the reference bit for bit, exact ties
+class TestGroupScanDifferential:
+    """Each step catches starts up in increasing (segment count, extended
+    cost, -s), the order a full sort of every consulted group gives,
+    although the group heaps cost only the starts whose lower bound is
+    reached.  The tables match the reference bit for bit, exact ties
     included."""
 
     @pytest.mark.parametrize(
@@ -339,57 +330,22 @@ class TestArrayScanDifferential:
     def test_matches_reference(
         self, monkeypatch, kind, sticky, gamma, cost_kind, min_seg_len, runs
     ):
-        events = []
-        tied = []
-        lexsort = np.lexsort
-
-        def sort_spy(keys):
-            events.append(("sort", len(keys[-1])))
-            tied.append(np.unique(keys[-1]).size < len(keys[-1]))
-            return lexsort(keys)
-
-        gaussian_costs = engine.gaussian_costs
-
-        def gaussian_spy(cs, css, a, b):
-            events.append(("cost", np.broadcast(a, b).size))
-            return gaussian_costs(cs, css, a, b)
-
-        make_cost_fn = engine.make_cost_fn
-
-        def counted_make_cost_fn(series, model):
-            cost_fn = make_cost_fn(series, model)
-
-            def counted(a, b):
-                events.append(("cost", 1))
-                return cost_fn(a, b)
-
-            return counted
-
+        caught = []
         catch_up = validity.ValidityState.catch_up
 
-        def catch_up_spy(state, *args):
-            events.append(("catch_up", 1))
-            return catch_up(state, *args)
+        def catch_up_spy(state, series, upto, *args):
+            caught.append((upto, state.start))
+            return catch_up(state, series, upto, *args)
 
-        extend = validity.ValidityState.extend_while_valid
-
-        def extend_spy(state, *args):
-            first = state.start + state.length + 1
-            stop = extend(state, *args)
-            events.append(("run", stop - first))
-            return stop
-
-        monkeypatch.setattr(np, "lexsort", sort_spy)
-        monkeypatch.setattr(engine, "gaussian_costs", gaussian_spy)
-        monkeypatch.setattr(engine, "make_cost_fn", counted_make_cost_fn)
         monkeypatch.setattr(validity.ValidityState, "catch_up", catch_up_spy)
-        monkeypatch.setattr(validity.ValidityState, "extend_while_valid", extend_spy)
+        costed = spy_cost_calls(monkeypatch)
         rng = np.random.default_rng(17)
         config = EngineConfig(
             cost=CostModel(cost_kind),
             test=ValidityTest(kind, gamma=gamma, sticky=sticky),
             min_seg_len=min_seg_len,
         )
+        tied = False  # two starts of a group costed equal at one step
         sizes = []
         for _ in range(2):
             n = int(rng.integers(250, 400))
@@ -398,17 +354,92 @@ class TestArrayScanDifferential:
             else:
                 values = random_series(rng, n, changes=int(rng.integers(1, 4)))
             ts = TimeSeries.from_values(values)
-            events.clear()
+            caught.clear()
+            costed.clear()
             lazy = svp_run(ts, config)
-            for costed, sorts in consulted_groups(events):
-                assert sorts == ([costed] if costed >= 2 else []), (costed, sorts)
-                sizes.append(costed)
             assert table_hex(lazy) == table_hex(reference_run(ts, config))
+            r = lazy.table.r
+            cost_fn = make_cost_fn(ts, config.cost)
+            steps: dict[int, list] = {}
+            for t, s in caught:
+                steps.setdefault(t, []).append((r[s].k, r[s].q + cost_fn(s, t), -s))
+            for keys in steps.values():
+                assert all(a < b for a, b in zip(keys, keys[1:])), keys
+            # a run-ahead step costs its start once and catches nothing up
+            keys = Counter((t, r[s].k, r[s].q + cost_fn(s, t)) for s, t in costed if t in steps)
+            tied |= max(keys.values()) > 1
+            per_step = Counter(t for s, t in costed)
+            sizes += [per_step[t] for t in steps]
         assert 1 in sizes and max(sizes) >= 2
         if runs:
-            assert any(tied)
+            assert tied
         if runs == (5, 30):
             assert any(2 <= m <= 48 for m in sizes)
+
+
+class TestOracleProperty:
+    """On short random series, ties, constant runs and large offsets
+    included, ``svp_run`` gives the tables of ``oracles.reference_run``
+    bit for bit, for every validity kind, sticky or not, and every cost."""
+
+    GAMMAS = {
+        "range": [0.0, 1.0, 3.0, 8.0],
+        "glr_gaussian_focus": [0.0, 1.0, 4.0, 12.0, 50.0],
+        "wilcoxon": [0.5, 4.0, 20.0, 100.0],
+        "mood": [1.0, 4.0, 9.0],
+    }
+
+    @settings(max_examples=600, deadline=None)
+    @given(values=split_series(max_size=30), data=st.data())
+    def test_tables_equal_reference(self, values, data):
+        kind = data.draw(st.sampled_from(VALIDITY_KINDS))
+        test = ValidityTest(
+            kind, gamma=data.draw(st.sampled_from(self.GAMMAS[kind])), sticky=data.draw(st.booleans())
+        )
+        model = CostModel(*data.draw(st.sampled_from([("gaussian",), ("mad",), ("poisson",), ("quantile", 0.2)])))
+        if model.kind == "poisson":
+            values = np.abs(values)
+        config = EngineConfig(cost=model, test=test, min_seg_len=data.draw(st.integers(1, 3)))
+        ts = TimeSeries.from_values(values)
+        trace = (lambda s, t, v: None) if data.draw(st.booleans()) else None
+        try:
+            reference = reference_run(ts, config)
+        except InfeasiblePartitionError:
+            with pytest.raises(InfeasiblePartitionError):
+                svp_run(ts, config, trace)
+            return
+        assert table_hex(svp_run(ts, config, trace)) == table_hex(reference)
+
+
+class TestStaleSlack:
+    """A key computed at an earlier step, lowered by the slack, bounds the
+    key at every later step: the gaussian closure falls by at most the
+    slack as its segment grows, the MAD closure never falls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=split_series(max_size=60))
+    def test_costs_fall_by_at_most_the_slack(self, values):
+        ts = TimeSeries.from_values(values)
+        n = len(ts)
+        gaussian, mad = CostModel("gaussian"), CostModel("mad")
+        slack = engine._stale_slack(ts, gaussian)
+        assert engine._stale_slack(ts, mad) == 0.0
+        gauss_fn, mad_fn = make_cost_fn(ts, gaussian), make_cost_fn(ts, mad)
+        for s in range(n):
+            gauss = [gauss_fn(s, t) for t in range(s + 1, n + 1)]
+            assert all(g >= peak - slack for g, peak in zip(gauss[1:], np.maximum.accumulate(gauss)))
+            spread = [mad_fn(s, t) for t in range(s + 1, n + 1)]
+            assert spread == sorted(spread)
+            # the bound survives adding a DP cost, which is at most half
+            # the sum of squares
+            for q in (0.0, 0.5 * float(ts.cumsum_sq[n])):
+                keys = [q + g for g in gauss]
+                assert all(k >= (peak - slack) for k, peak in zip(keys[1:], np.maximum.accumulate(keys)))
+
+    def test_non_monotone_costs_recompute_every_key(self):
+        ts = TimeSeries.from_values([1.0, 2.0, 3.0])
+        assert engine._stale_slack(ts, CostModel("poisson")) == math.inf
+        assert engine._stale_slack(ts, CostModel("quantile", 0.2)) == math.inf
 
 
 class TestCertificateDifferential:
@@ -590,6 +621,19 @@ class TestFeedCounts:
         result = svp_run(ts, gaussian_config(test), stat_trace=trace)
         assert result.segmentation.boundaries == (0, 253, 499, 747, 1000)
         assert (len(checks), len(full)) == (538, scans)
+
+    def test_up_k4_cost_call_count_is_pinned(self, monkeypatch):
+        # the group heaps cost a start only when its lower bound reaches the
+        # top of its heap: 6642 scalar closure calls on this run, where a
+        # full sort of every consulted group costs each eligible start at
+        # every step.  A heap that re-costs every key fails here
+        calls = spy_cost_calls(monkeypatch)
+        n = 1000
+        ts = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=5))
+        test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
+        result = svp_run(ts, gaussian_config(test))
+        assert result.segmentation.boundaries == (0, 253, 499, 747, 1000)
+        assert len(calls) == 6642
 
 
 class TestStateLifetime:
