@@ -8,11 +8,17 @@ segment is valid.  The range, GLR and Wilcoxon states update their
 statistic incrementally, and it equals the full rescan at every prefix
 length (the GLR one up to rounding); Mood's pooled median moves with
 every value, so its state is its own scan, ``mood_scan``, over a
-buffered window.  The GLR scan takes its gaussian costs from the cost
-layer's ``gaussian_costs``.  ``certainly_invalid`` lets the full
-scan settle a segment on its own when its value alone exceeds gamma;
-under a sticky test ``catch_up`` asks it first for a state the previous
-step did not reach, so a doomed start costs one scan, not a catch-up.
+buffered window.  Both rank kernels cost a fixed handful of numpy
+calls per value: the Wilcoxon update is one exact half-integer
+``cumsum``, and the Mood scan tests for a zero expected count once per
+table column (only a whole column can be empty), not per element; it
+keeps every per-element operation and its order, so its float is, bit
+for bit, the one a per-element guard gives.  The GLR scan takes its
+gaussian costs from the cost layer's ``gaussian_costs``.
+``certainly_invalid`` lets the full scan settle a segment on its own
+when its value alone exceeds gamma; under a sticky test ``catch_up``
+asks it first for a state the previous step did not reach, so a doomed
+start costs one scan, not a catch-up.
 For the GLR test an untraced catch-up first tries the gain at one split
 the caller names (the engine's latest change), a constant-time element
 of the full scan that settles most doomed starts on its own.
@@ -332,7 +338,11 @@ class WilcoxonState(ValidityState):
 
     Appending x adds the pairs (i, new point); each existing split u
     gains (number of left values <= x) - u/2, and the new split counts x
-    against the whole previous segment.  Ties count as <=.
+    against the whole previous segment.  Ties count as <=.  That gain is
+    the running sum of (value <= x) - 1/2 over the left values, one
+    ``cumsum`` with no ramp of halves, added in place to the splits.  W
+    holds half-integers far below 2**52, so every sum is exact in any
+    order and the state equals ``wilcoxon_scan`` at every prefix.
     """
 
     __slots__ = ("_vals", "_w")
@@ -347,10 +357,8 @@ class WilcoxonState(ValidityState):
         self._vals = vals = _grown(self._vals, m + 1)
         self._w = w = _grown(self._w, m + 1)
         if m > 0:
-            counts = np.cumsum(vals[:m] <= value)
-            if m > 1:
-                w[: m - 1] += counts[: m - 1] - 0.5 * np.arange(1, m)
-            w[m - 1] = counts[m - 1] - 0.5 * m
+            w[m - 1] = 0.0
+            w[:m] += np.cumsum((vals[:m] <= value) - 0.5)
         vals[m] = value
 
     def _evaluate(self) -> float:
@@ -388,12 +396,36 @@ def wilcoxon_scan(window) -> float:
     return float(np.abs(w).max())
 
 
+# 1.0, 2.0, 3.0, ... as floats, shared by every Mood scan and regrown
+# (doubling) when a longer window asks for more.
+_ramp = np.arange(1.0, 257.0)
+
+
+def _one_to(m: int) -> np.ndarray:
+    """The floats 1.0 .. m, a view of the shared ramp."""
+    global _ramp
+    if m > _ramp.size:
+        _ramp = np.arange(1.0, max(m, 2 * _ramp.size) + 1.0)
+    return _ramp[:m]
+
+
 def mood_scan(window) -> float:
     """Max over splits of Mood's 2x2 median chi-square on a window.
 
     The table at split u counts the values at most the pooled median on
-    each side.  Cells with zero expected count contribute 0 (a degenerate
-    column, e.g. constant data, then declares no change).
+    each side; each cell adds (count - e)**2 / e with expected count
+    e = row * col / size.  Cells with zero expected count contribute 0 (a
+    degenerate column, e.g. constant data, then declares no change).
+    The row totals u and size - u are at least 1, so e is 0 only in a
+    whole column: the "> median" one when no value exceeds the median,
+    or the "<= median" one when the median is -inf or NaN (middle values
+    whose sum overflows, or -inf and inf).  So one scalar test per
+    column stands in for a guard on every element; skipping a column is
+    exact because every term is >= +0.  The per-element operations and
+    their order are pinned (e, then the term, then the cells summed in
+    table order), so the result is, bit for bit, the float a scan that
+    guards every element returns.  The counts and the ramp's splits are
+    integers held as floats, so they are exact.
     """
     vals = np.asarray(window, dtype=np.float64)
     size = vals.size
@@ -402,23 +434,28 @@ def mood_scan(window) -> float:
     srt = np.sort(vals)
     half = size // 2
     med = float(srt[half]) if size % 2 else 0.5 * (float(srt[half - 1]) + float(srt[half]))
-    cum = np.cumsum(vals <= med)
+    cum = np.cumsum(vals <= med, dtype=np.float64)
     total_m = float(cum[-1])
     total_p = size - total_m
-    u = np.arange(1, size, dtype=np.float64)
-    n1m = cum[:-1].astype(np.float64)
+    u = _one_to(size - 1)
+    n1m = cum[:-1]
+    n2m = total_m - n1m
+    # the rows of the second half are u reversed, so are their expectations
+    e_m = u * total_m / size
+    e_p = u * total_p / size
     cells = (
-        (n1m, u, total_m),
-        (u - n1m, u, total_p),
-        (total_m - n1m, size - u, total_m),
-        ((size - u) - (total_m - n1m), size - u, total_p),
+        (n1m, e_m, total_m),
+        (u - n1m, e_p, total_p),
+        (n2m, e_m[::-1], total_m),
+        (u[::-1] - n2m, e_p[::-1], total_p),
     )
-    stat = None
-    for count, row_total, col_total in cells:
-        e = row_total * col_total / size
-        safe = np.where(e > 0.0, e, 1.0)
-        term = np.where(e > 0.0, (count - e) ** 2 / safe, 0.0)
-        stat = term if stat is None else stat + term
+    stat = 0.0
+    for count, e, col_total in cells:
+        if col_total:
+            term = count - e
+            term *= term
+            term /= e
+            stat += term
     return float(stat.max())
 
 
@@ -426,7 +463,8 @@ class MoodState(ValidityState):
     """Mood median scan over a buffered window.
 
     The pooled median moves with every value, so no per-split count
-    carries over a push; each evaluation is ``mood_scan`` on the window.
+    carries over a push; each evaluation is ``mood_scan`` on the window,
+    the one Mood definition, so the state's float is the full scan's.
     """
 
     __slots__ = ("_vals",)

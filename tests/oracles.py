@@ -5,7 +5,9 @@ and avoids the library's computational paths (cumulative sums,
 incremental states, vectorized scans), so agreement is meaningful.  The
 one exception is ``reference_run``, which shares the library's cost and
 validity layers on purpose so that its tables can be compared bit for
-bit with the engine's.
+bit with the engine's, and ``guarded_mood_scan``, a vectorized Mood scan
+that guards every element against a zero expected count, kept as the
+reference the library's ``mood_scan`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from svp import INF_BIPOINT, ZERO_BIPOINT, BiPoint, DpTable, SvpResult, backtrack
 from svp.costs import make_cost_fn
@@ -114,6 +118,40 @@ def naive_mood(values):
     if size < 2:
         return 0.0
     return max(naive_mood_at_split(values, u) for u in range(1, size))
+
+
+def guarded_mood_scan(window):
+    """Mood's scan with a zero-expectation guard on every element.
+
+    Per split, each cell adds ``(count - e)**2 / e`` with
+    ``e = row * col / size``, the cells summed in table order, and a cell
+    whose expected count is 0 adds 0.
+    """
+    vals = np.asarray(window, dtype=np.float64)
+    size = vals.size
+    if size < 2:
+        return 0.0
+    srt = np.sort(vals)
+    half = size // 2
+    med = float(srt[half]) if size % 2 else 0.5 * (float(srt[half - 1]) + float(srt[half]))
+    cum = np.cumsum(vals <= med)
+    total_m = float(cum[-1])
+    total_p = size - total_m
+    u = np.arange(1, size, dtype=np.float64)
+    n1m = cum[:-1].astype(np.float64)
+    cells = (
+        (n1m, u, total_m),
+        (u - n1m, u, total_p),
+        (total_m - n1m, size - u, total_m),
+        ((size - u) - (total_m - n1m), size - u, total_p),
+    )
+    stat = None
+    for count, row_total, col_total in cells:
+        e = row_total * col_total / size
+        safe = np.where(e > 0.0, e, 1.0)
+        term = np.where(e > 0.0, (count - e) ** 2 / safe, 0.0)
+        stat = term if stat is None else stat + term
+    return float(stat.max())
 
 
 def naive_range(values):

@@ -24,6 +24,7 @@ from svp import (
     op_pelt_run,
     svp_run,
 )
+from svp import engine, validity
 from svp.bench import (
     Noise,
     Scenario,
@@ -370,6 +371,70 @@ def test_c09_runtime_scaling_exponents():
         f"slopes: svp-focus {slope_svp:.2f} in [0.9, 1.5], unpruned op {slope_op:.2f} "
         f"in [1.7, 2.2] ({elapsed:.0f} s)",
     )
+
+
+# Log-log slopes of svp-glr's deterministic work counts, each count plus
+# one so that a count that stays 0 fits as flat, at n = 1000..8000 on the
+# seed-99 series: (scalar cost-closure calls, values fed to validity
+# states, full-window checks).  Measured once; the bound is each slope
+# plus or minus C09_COUNT_MARGIN.  A change that moves a count's growth
+# out of its band re-measures it here.
+C09_COUNT_SLOPES = {
+    "none": (0.00, 1.00, 0.00),
+    "up": (1.01, 0.82, 0.97),
+}
+C09_COUNT_MARGIN = 0.2
+
+
+@pytest.mark.parametrize("name", sorted(C09_COUNT_SLOPES))
+def test_c09_count_scaling_exponents(monkeypatch, name):
+    """The work behind c09's timing grows near-linearly, counted, not timed.
+
+    Runs svp-glr on c09's change-free series and on ``up`` with K = 4 and
+    counts what the engine does, so no timing noise enters the slopes.
+    """
+    counts = [0, 0, 0]
+    make_cost_fn = engine.make_cost_fn
+    feed = validity.ValidityState.feed
+    certainly_invalid = validity.certainly_invalid
+
+    def counted_make_cost_fn(series, model):
+        cost_fn = make_cost_fn(series, model)
+
+        def counted(a, b):
+            counts[0] += 1
+            return cost_fn(a, b)
+
+        return counted
+
+    def counted_feed(state, value):
+        counts[1] += 1
+        feed(state, value)
+
+    def counted_certainly_invalid(*args):
+        counts[2] += 1
+        return certainly_invalid(*args)
+
+    monkeypatch.setattr(engine, "make_cost_fn", counted_make_cost_fn)
+    monkeypatch.setattr(validity.ValidityState, "feed", counted_feed)
+    monkeypatch.setattr(validity, "certainly_invalid", counted_certainly_invalid)
+    points = ([], [], [])
+    for n in (1000, 2000, 4000, 8000):
+        scenario = Scenario(name=name, n=n, seed=99)
+        counts[:] = [0, 0, 0]
+        make_detector("svp-glr", n, scenario.true_k)(generate(scenario))
+        for column, count in zip(points, counts):
+            column.append((n, count + 1))
+    slopes = [fit_loglog_slope(column) for column in points]
+    labels = ("closure calls", "values fed", "full-window checks")
+    for label, slope, measured in zip(labels, slopes, C09_COUNT_SLOPES[name]):
+        low, high = measured - C09_COUNT_MARGIN, measured + C09_COUNT_MARGIN
+        assert low <= slope <= high, (
+            f"{name}: {label} slope {slope:.2f} outside [{low:.2f}, {high:.2f}]"
+        )
+    _report(9, f"{name} count slopes " + ", ".join(
+        f"{label} {slope:.2f}" for label, slope in zip(labels, slopes)
+    ))
 
 
 def test_c10_every_returned_segment_passes_its_test():

@@ -29,6 +29,7 @@ from svp import validity
 from svp.validity import VALIDITY_KINDS, certainly_invalid, glr_gains
 
 from oracles import (
+    guarded_mood_scan,
     naive_glr,
     naive_mood,
     naive_mood_at_split,
@@ -208,6 +209,63 @@ class TestExactness:
             counts.append(len(state._hi) + len(state._lo))
         mean_count = float(np.mean(counts))
         assert mean_count <= 6.0 * math.log(400)
+
+
+@st.composite
+def mood_windows(draw):
+    """Windows of 1 to 400 values: t3 noise, integer- or half-rounded
+    ties, constant runs and two-level runs (often with no value above the
+    median, so the "> median" column is empty), at offsets up to 1e12."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["t3", "integer", "half", "constant", "two-level"]))
+    noise = rng.standard_t(3, size=n) * draw(st.sampled_from([0.5, 1.0, 3.0]))
+    if shape == "t3":
+        values = noise
+    elif shape == "integer":
+        values = np.round(noise)
+    elif shape == "half":
+        values = np.round(2.0 * noise) / 2.0
+    elif shape == "constant":
+        values = np.full(n, 2.5)
+    else:
+        low = draw(st.integers(0, n))
+        values = np.where(np.arange(n) < low, -1.0, 1.0) * draw(st.sampled_from([1.0, -1.0]))
+    offset = draw(st.sampled_from([0.0, -7.5, 1e3, 1e6, -1e6, 1e12]))
+    return values + offset
+
+
+class TestRankKernelBits:
+    """The rank kernels give the floats of their reference computations
+    bit for bit, so no table, trace or decision can move."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=mood_windows())
+    def test_mood_scan_equals_guarded_scan(self, window):
+        assert mood_scan(window).hex() == guarded_mood_scan(window).hex()
+
+    @pytest.mark.parametrize(
+        "window",
+        [[-1e308] * 3 + [1.0], [1e308] * 4, [-math.inf, math.inf], [4.0, 4.0, 4.0]],
+        ids=["median-overflows-low", "median-overflows-high", "median-nan", "constant"],
+    )
+    def test_mood_scan_equals_guarded_scan_when_a_column_is_empty(self, window):
+        # a median of -inf or NaN leaves the "<= median" column empty
+        assert mood_scan(window).hex() == guarded_mood_scan(window).hex()
+
+    @pytest.mark.parametrize("shape", ["t3", "integer", "constant"])
+    def test_wilcoxon_state_equals_scan_across_buffer_doublings(self, shape):
+        # 1030 values grow the state's buffers 8 -> 16 -> ... -> 1024 -> 2048
+        rng = np.random.default_rng(50)
+        values = rng.standard_t(3, size=1030)
+        if shape == "integer":
+            values = np.round(values)
+        elif shape == "constant":
+            values = np.full(values.size, -3.0)
+        state = ValidityTest("wilcoxon", gamma=1e18).new_state(0)
+        for number, value in enumerate(values.tolist(), start=1):
+            got = feed_and_read(state, value)
+            assert got.hex() == wilcoxon_scan(values[:number]).hex(), number
 
 
 class TestStability:
