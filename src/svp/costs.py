@@ -16,6 +16,7 @@ closure, which then skips it.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import insort
 from dataclasses import dataclass
 from typing import Callable
@@ -25,6 +26,7 @@ import numpy as np
 from .core import DomainError, InvalidRangeError, TimeSeries
 
 COST_KINDS = ("gaussian", "poisson", "mad", "quantile")
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,71 @@ def gaussian_costs(cs: np.ndarray, css: np.ndarray, a, b):
     s = cs[b] - cs[a]
     # Cancellation can leave a tiny negative residue; the cost is >= 0.
     return np.maximum(0.5 * (css[b] - css[a] - s * s / (b - a)), 0.0)
+
+
+def gaussian_rounding(length: int, sum_sq: float) -> float:
+    """Rounding bound 3 (length + 2) eps sum_sq for gaussian costs and GLR values.
+
+    Every float gaussian cost and GLR value is formed from running sums,
+    taken in order, over ``length`` values whose squares sum to
+    ``sum_sq``.  It differs from the same expression in exact arithmetic
+    on those values by at most this bound, to first order in
+    eps = 2**-52.  The method is that of Chan, Golub & LeVeque (Amer.
+    Statist. 1983) and Higham (Accuracy and Stability of Numerical
+    Algorithms, ch. 4).  Write u = eps / 2, m = ``length``,
+    Q = ``sum_sq`` and A for the sum of |y| over the m values, so that
+    A**2 <= m Q.
+
+    - Running sums.  Each addition rounds by at most u times the partial
+      sum it makes, and no partial sum exceeds A.  So the difference of
+      two stored partial sums k values apart is off from the exact sum of
+      those k values by at most u k A.  The same holds for squares, with
+      Q for A, plus u Q for squaring.
+    - A cost from the stored prefix sums (``gaussian_costs`` and the
+      closure of ``make_cost_fn``) is (w - s**2 / l) / 2 for a window of
+      l <= m values.  The error in s moves s**2 / l by at most
+      2 |s| u A <= 2 u m Q.  The error in w, u (l + 2) Q with its
+      subtraction, plus the subtraction for s, its square, the division
+      and the last subtraction make (l + 7) u Q.  So the cost is off by at
+      most (l + 2 m + 7) eps Q / 4 <= (3 m + 7) eps Q / 4.
+    - A GLR gain from the prefix sums, C(a, b) - C(a, u) - C(u, b) (the
+      naive scan and the split gain), is three such costs.  Their window
+      lengths add up to at most 2 m, and the two subtractions add u Q, so
+      the gain is off by at most (2 m + 5.75) eps Q.
+    - A FOCuS value, st**2 / 2 tau + (sn - st)**2 / 2 (m - tau) - sn**2 / 2 m,
+      comes from running window sums.  Each of its three sums spans k
+      values and is off by at most u k A, which moves its term by at most
+      u A times the sum's size.  That gives u A (|st| + |sn - st| + |sn|)
+      <= 2 u A**2 <= eps m Q.  The squares, the divisions and the two
+      additions add 2 eps Q.  So the value is off by at most
+      (m + 2) eps Q.
+    - A cost can fall as its segment grows only by rounding: by at most
+      two costs' bounds, plus u Q for adding a DP cost (at most Q / 2) to
+      each.  That is (1.5 m + 4) eps Q; see ``max_cost_fall``.
+
+    Each bound is at most 3 (m + 2) eps Q.  Second-order terms are
+    smaller by a factor of m eps, so they fit in the room that is left.
+    """
+    return 3.0 * (length + 2) * _EPS * sum_sq
+
+
+def max_cost_fall(series: TimeSeries, model: CostModel) -> float:
+    """How far a cost may fall as its segment grows: C(s, t) >= C(s, t') - fall.
+
+    Then a key ``r[s].q + C(s, t')`` computed at an earlier step, minus
+    this fall, is a lower bound on the key at any later step t.  The MAD
+    closure rounds once from exact sums, and the exact cost never falls,
+    so its fall is 0.  A gaussian cost falls only by rounding.  That
+    rounding is ``gaussian_rounding`` at the whole series' length and sum
+    of squares.  Poisson costs drop data-only terms and trimmed spreads
+    can shrink, so those costs are not monotone (inf: every key of theirs
+    is recomputed).
+    """
+    if model.kind == "mad":
+        return 0.0
+    if model.kind == "gaussian":
+        return gaussian_rounding(len(series), float(series.cumsum_sq[-1]))
+    return math.inf
 
 
 def gaussian_cost(series: TimeSeries, a: int, b: int) -> float:

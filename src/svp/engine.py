@@ -6,23 +6,25 @@ last-change indices (starts) are grouped by their segment count, each
 group a heap of starts whose DP values live only in the table.
 Each step consults the group with the fewest segments first, in order
 of extended cost with ties to the latest start.  The heap holds lower
-bounds on the starts' extended costs, and a consult recomputes a cost
-with the scalar cost closure only when its bound reaches the top, so a
-start whose bound stays above the group optimum is not costed at all.
+bounds on the starts' extended costs: a key computed at an earlier step,
+lowered by the cost layer's ``max_cost_fall``.  A consult recomputes a
+cost with the scalar cost closure only when its bound reaches the top, so
+a start whose bound stays above the group optimum is not costed at all.
 A start's validity state is created when a scan first reaches it and
 caught up only on demand, by one ``ValidityState.catch_up`` call over
 the values it missed.  That call owns the rest of the validity
 protocol: tracing, the stable-test stop rule and, under a sticky test,
 the full-window check that settles a start the previous step did not
-reach without feeding it.  The engine
-hands it the latest change, ``slink[t - 1]``, as a split the check may
-try first.  Its answer is the segment's validity, so the engine names
-no validity kind.  With a stable test, starts the scan finds invalid are
-dropped for good, so the runner touches one small group per step, which
-is what makes the incremental-GLR configuration scale near-linearly on
-change-free data.  Inside a long valid segment the runner runs ahead:
-one ``ValidityState.extend_while_valid`` call answers the steps up to
-the segment's first invalid end at once.
+reach without feeding it.  The engine hands it the latest change,
+``slink[t - 1]``, as a split the check may try first.  Its answer is the
+segment's validity, so the engine names no validity kind, and it names a
+cost kind only to cost a run-ahead's steps in one vectorized call.  With
+a stable test, starts the scan finds invalid are dropped for good, so the
+runner touches one small group per step, which is what makes the
+incremental-GLR configuration scale near-linearly on change-free data.
+Inside a long valid segment the runner runs ahead: one
+``ValidityState.extend_while_valid`` call answers the steps up to the
+segment's first invalid end at once.
 
 ``op_pelt_run`` is the penalized optimal-partitioning baseline; its
 ``prune`` flag applies the classic PELT inequality.
@@ -31,7 +33,6 @@ the segment's first invalid end at once.
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from heapq import heappop, heappush
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ from .core import (
     TimeSeries,
     backtrack,
 )
-from .costs import CostModel, gaussian_costs, make_cost_fn
+from .costs import CostModel, gaussian_costs, make_cost_fn, max_cost_fall
 from .validity import ValidityState, ValidityTest, is_segment_valid
 
 StatTrace = Callable[[int, int, float], None]
@@ -105,33 +106,6 @@ def svp_run(
     return SvpResult(table=table, segmentation=backtrack(table))
 
 
-def _stale_slack(series: TimeSeries, model: CostModel) -> float:
-    """How far a cost may fall as its segment grows: C(s, t) >= C(s, t') - slack.
-
-    A key ``r[s].q + C(s, t')`` computed at an earlier step, minus this
-    slack, is then a lower bound on the key at any later step t.  The MAD
-    closure rounds once from exact sums and the exact cost never falls, so
-    its slack is 0.  The gaussian closure differences prefix sums whose
-    rounding grows with their length.  On the stored sums the exact cost
-    strays from the true one by at most 0.75 eps n cumsum_sq[n] (a
-    segment's sum is off by eps/2 times the sum of |cumsum| over it, and
-    that times the segment's sum is at most (sum |y|)^2 <= n
-    cumsum_sq[n]); the closure's own roundings add 1.5 eps cumsum_sq[n].
-    Two costs of one start thus differ from a monotone pair by twice that,
-    and adding q (at most cumsum_sq[n]) rounds by 0.5 eps cumsum_sq[n]
-    more: (1.5 n + 3.5) eps cumsum_sq[n] in all, which the slack covers
-    with room.  Poisson costs drop data-only terms and trimmed spreads can
-    shrink, so those costs are not monotone and every key of theirs is
-    recomputed.
-    """
-    if model.kind == "mad":
-        return 0.0
-    if model.kind == "gaussian":
-        n = len(series)
-        return 4.0 * (n + 2) * sys.float_info.epsilon * float(series.cumsum_sq[n])
-    return math.inf
-
-
 def _run_lazy(
     series: TimeSeries, config: EngineConfig, trace: Optional[StatTrace]
 ) -> tuple[list[BiPoint], list[int]]:
@@ -159,14 +133,16 @@ def _run_lazy(
     lower bound on its start's extended cost at any later step: a consult
     moves its newly eligible waiting starts into the heap with the key
     ``r[s].q - slack`` (every cost is >= 0), and a key computed at step t
-    goes back lowered by ``_stale_slack``.  The scan keeps the keys it
-    computes at step t in a second heap, ``exact``; while the smallest
-    bound lies below the smallest exact key, that start is costed with
-    the scalar closure and moves over, otherwise the smallest exact key's
-    start is consulted.  So starts are consulted in the order a full sort
-    of the group would give, and a start whose bound stays above the
-    group optimum is never costed.  Starts the scan finds invalid under a
-    stable test are dropped.
+    goes back lowered by ``slack``, the cost layer's ``max_cost_fall``: 0
+    for mad, the gaussian rounding bound, inf for the costs that can
+    fall.  The scan keeps the keys it computes at step t in a second
+    heap, ``exact``; while the smallest bound lies below the smallest
+    exact key, that start is costed with the scalar closure and moves
+    over, otherwise the smallest exact key's start is consulted.  So
+    starts are consulted in the order a full sort of the group would
+    give, and a start whose bound stays above the group optimum is never
+    costed.  Starts the scan finds invalid under a stable test are
+    dropped.
 
     Run-ahead: when the start s found at step t is the only eligible one
     in its group k and every lower group, it answers each later step up
@@ -184,7 +160,7 @@ def _run_lazy(
     kill = test.gamma_stable
     min_len = config.min_seg_len
     cost_fn = make_cost_fn(series, config.cost)
-    slack = _stale_slack(series, config.cost)
+    slack = max_cost_fall(series, config.cost)
     vectorize = config.cost.kind == "gaussian"
     cs = series.cumsum
     css = series.cumsum_sq

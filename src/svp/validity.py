@@ -26,7 +26,10 @@ of the full scan that settles most doomed starts on its own.
 which is how the engine answers a long valid stretch in one call.  The
 sticky GLR state also bounds how far its maximum can have grown since it
 was last evaluated, in constant time per value, and evaluates only when
-that bound could exceed gamma.
+that bound could exceed gamma.  Both GLR shortcuts, the full-window
+check and the growth bound, take their rounding margin from the cost
+layer's ``gaussian_rounding``, the one derived bound on how far a float
+gaussian cost or GLR value may stray.
 
 The sticky flag turns any test into a stable one: once a growing
 segment fails, every extension of it reports invalid.  The range test
@@ -43,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DomainError, TimeSeries
-from .costs import _check_range, gaussian_costs
+from .costs import _check_range, gaussian_costs, gaussian_rounding
 
 @dataclass(frozen=True)
 class ValidityTest:
@@ -260,14 +263,20 @@ class FocusState(ValidityState):
     L/(L+1) * (x - m)**2 / 2, since the suffix cost cannot fall, and the
     new split gains exactly that.  So the max grows by at most this
     constant-time increment per value: ``_grow`` sums the increments
-    since the statistic was last evaluated, and ``_ceiling`` is that
-    statistic plus ``_grow`` plus a rounding margin, ``_GLR_SLACK`` with
-    the window's own sum of squares ``_sq``, taken twice: once for the
-    evaluated statistic and once for the one the ceiling stands for (the
-    increments' own rounding, a few eps per unit of L * ``_sq``, fits in
-    what the slack leaves over).  Ward, Romano, Eckley & Fearnhead (2024)
-    show that a FOCuS step need not evaluate every piece; this bound
-    skips the whole evaluation where it cannot reach gamma.
+    since the statistic was last evaluated.  ``_ceiling`` is that
+    statistic plus ``_grow`` plus twice ``gaussian_rounding`` on the
+    window's length and its own sum of squares ``_sq``: 6 (L + 2) eps
+    ``_sq``.  That covers two FOCuS values' rounding, the evaluated
+    statistic's and the current one's, at most (L + 2) eps ``_sq`` each.
+    It also covers the increments' own rounding.  The exact increments
+    add up to a cost rise of at most ``_sq`` / 2, so their rounding is at
+    most (0.75 L + 1.25) eps ``_sq``, and the ceiling's additions add
+    0.5 eps ``_sq`` more.  The bound holds whichever pieces pruning kept:
+    a kept piece grows by at most the increments, and a new one is worth
+    at most the window's cost rise since the last evaluation.  Ward,
+    Romano, Eckley & Fearnhead (2024) show that a FOCuS step need not
+    evaluate every piece; this bound skips the whole evaluation where it
+    cannot reach gamma.
     """
 
     __slots__ = ("_pending", "_lo", "_hi", "_grow", "_sq")
@@ -294,7 +303,7 @@ class FocusState(ValidityState):
             grow += d * d * piece[1] / (2.0 * n)
         self._grow = grow
         self._sq = sq = self._sq + value * value
-        self._ceiling = self._stat + grow + 2.0 * _GLR_SLACK * n * sq
+        self._ceiling = self._stat + grow + 2.0 * gaussian_rounding(n, sq)
         while len(hi) > 1:
             st1, tau1, _ = hi[-1]
             st0, tau0, _ = hi[-2]
@@ -506,17 +515,6 @@ def segment_statistic(series: TimeSeries, a: int, b: int, kind: str) -> float:
     raise DomainError(f"unknown validity kind {kind!r}")
 
 
-# FOCuS's running sums and the naive scan's prefix-sum differences are
-# both sequential sums over the window, rounded by at most (t - s) * eps
-# times their largest partial sum, so each GLR value strays from the exact
-# one by a small multiple of eps * (t - s) * cumsum_sq[t].  The slack is
-# about 4500 eps per unit of that; where it reaches gamma's scale (large
-# offsets, long windows) the certificate gives up and the state decides.
-# FocusState's growth bound takes the same slack, with the window's own
-# sum of squares, as its rounding margin.
-_GLR_SLACK = 1e-12
-
-
 def certainly_invalid(
     series: TimeSeries, s: int, t: int, test: ValidityTest, split: int = 0
 ) -> Optional[float]:
@@ -526,16 +524,23 @@ def certainly_invalid(
     not, so a state caught up to ``t`` would report it invalid.  Returns
     that statistic (from ``segment_statistic``) when it settles the
     question, None when the state must decide.  The range, Wilcoxon and
-    Mood scans give the state's float exactly; the naive GLR scan must
-    clear gamma by the rounding both it and FOCuS may carry.  For GLR
-    with ``s < split < t``, the gain C(s,t) - C(s,split) - C(split,t) is
-    tried first; it is bit for bit the scan's element at ``split``, so
-    when it clears the same limit it is returned in place of the scan's
-    maximum, which would clear it too.  Other kinds ignore ``split``.
+    Mood scans give the state's float exactly.  The naive GLR scan must
+    clear gamma by ``gaussian_rounding`` twice: the scan's own bound, on
+    the prefix sums up to ``t``, and FOCuS's, on the window's length and
+    sum of squares.  Their sum is the most the two floats can differ,
+    given that FOCuS's pruning keeps a maximizing split, as it does in
+    exact arithmetic.  The window's sum of squares, read from the stored
+    sums, is off by a first-order amount, which moves FOCuS's bound only
+    at second order.  For GLR with ``s < split < t``, the gain
+    C(s,t) - C(s,split) - C(split,t) is tried first.  It is bit for bit
+    the scan's element at ``split``, so when it clears the same limit it
+    is returned in place of the scan's maximum, which would clear it too.
+    Other kinds ignore ``split``.
     """
     limit = test.gamma
     if test.kind == "glr_gaussian_focus":
-        limit += _GLR_SLACK * (t - s) * float(series.cumsum_sq[t])
+        css_t, css_s = float(series.cumsum_sq[t]), float(series.cumsum_sq[s])
+        limit += gaussian_rounding(t, css_t) + gaussian_rounding(t - s, css_t - css_s)
         if s < split < t:
             costs = gaussian_costs(
                 series.cumsum, series.cumsum_sq, np.array((s, s, split)), np.array((t, split, t))

@@ -351,12 +351,12 @@ def test_c08_rank_test_robust_to_heavy_tails():
 def test_c09_runtime_scaling_exponents():
     """Incremental-GLR runs near-linearly, unpruned OP quadratically."""
     start = time.perf_counter()
-    rows = run_runtime_study(
-        lengths=(1000, 2000, 4000, 8000),
-        methods=("svp-glr", "op-unpruned"),
-        repeats=2,
-        seed=99,
-    )
+    # svp-glr solves in milliseconds, where one slow repeat on a shared
+    # machine moves the fit, so it takes the best of 7; op-unpruned runs
+    # for seconds and keeps the best of 2
+    lengths = (1000, 2000, 4000, 8000)
+    rows = run_runtime_study(lengths=lengths, methods=("svp-glr",), repeats=7, seed=99)
+    rows += run_runtime_study(lengths=lengths, methods=("op-unpruned",), repeats=2, seed=99)
     points = {"svp-glr": [], "op-unpruned": []}
     for row in rows:
         points[row.method].append((row.n, row.runtime_s))

@@ -204,6 +204,11 @@ class TestDetect:
             assert main(["detect", "--input", str(good), "--gamma", "1", "--min-seg-len",
                          min_seg_len, "--out", out]) == 4
         assert main(["detect", "--input", str(good), "--gamma", "-1", "--out", out]) == 4
+        negative = tmp_path / "negative.csv"
+        write_csv(negative, [1.0, -2.0, 3.0])
+        assert main(["detect", "--input", str(negative), "--cost", "poisson", "--gamma", "1",
+                     "--out", out]) == 4
+        assert "poisson cost requires nonnegative values" in capsys.readouterr().err
         columns = tmp_path / "cols.csv"
         columns.write_text("a,b\n1.0,10.0\n2.0,20.0\n3.0,30.0\n")
         for index in ("-1", "-2"):  # not counted from the end

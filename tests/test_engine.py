@@ -27,7 +27,7 @@ from svp import (
 
 from svp import engine, validity
 from svp.bench import Scenario, generate
-from svp.costs import make_cost_fn
+from svp.costs import gaussian_rounding, make_cost_fn, max_cost_fall
 from svp.validity import VALIDITY_KINDS, certainly_invalid, sidak_threshold, wilcoxon_threshold
 
 from oracles import brute_force_op, brute_force_svp, reference_run
@@ -422,8 +422,9 @@ class TestStaleSlack:
         ts = TimeSeries.from_values(values)
         n = len(ts)
         gaussian, mad = CostModel("gaussian"), CostModel("mad")
-        slack = engine._stale_slack(ts, gaussian)
-        assert engine._stale_slack(ts, mad) == 0.0
+        slack = max_cost_fall(ts, gaussian)
+        assert slack == gaussian_rounding(n, float(ts.cumsum_sq[n]))
+        assert max_cost_fall(ts, mad) == 0.0
         gauss_fn, mad_fn = make_cost_fn(ts, gaussian), make_cost_fn(ts, mad)
         for s in range(n):
             gauss = [gauss_fn(s, t) for t in range(s + 1, n + 1)]
@@ -438,8 +439,8 @@ class TestStaleSlack:
 
     def test_non_monotone_costs_recompute_every_key(self):
         ts = TimeSeries.from_values([1.0, 2.0, 3.0])
-        assert engine._stale_slack(ts, CostModel("poisson")) == math.inf
-        assert engine._stale_slack(ts, CostModel("quantile", 0.2)) == math.inf
+        assert max_cost_fall(ts, CostModel("poisson")) == math.inf
+        assert max_cost_fall(ts, CostModel("quantile", 0.2)) == math.inf
 
 
 class TestCertificateDifferential:
@@ -621,6 +622,37 @@ class TestFeedCounts:
         result = svp_run(ts, gaussian_config(test), stat_trace=trace)
         assert result.segmentation.boundaries == (0, 253, 499, 747, 1000)
         assert (len(checks), len(full)) == (538, scans)
+
+    def test_up_k4_counts_do_not_grow_at_an_offset(self, monkeypatch):
+        # the rounding bounds grow with the data's level, so at offset 1e4
+        # an empirical margin switched the growth bound and the full-window
+        # check off (7615 evaluations and 322 settles against 52 and 512);
+        # the derived bound keeps both at offset 0's counts
+        evaluations, settles = [], []
+        evaluate = validity.FocusState._evaluate
+
+        def evaluate_spy(state):
+            evaluations.append(state.length)
+            return evaluate(state)
+
+        def check_spy(*args):
+            value = certainly_invalid(*args)
+            settles.append(value is not None)
+            return value
+
+        monkeypatch.setattr(validity.FocusState, "_evaluate", evaluate_spy)
+        monkeypatch.setattr(validity, "certainly_invalid", check_spy)
+        n = 1000
+        base = generate(Scenario(name="up", n=n, jump=1.0, segments=4, seed=5)).values
+        test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
+        counts = []
+        for offset in (0.0, 1e4):
+            evaluations.clear()
+            settles.clear()
+            result = svp_run(TimeSeries.from_values(base + offset), gaussian_config(test))
+            counts.append((len(evaluations), sum(settles), result.segmentation.boundaries))
+        assert counts[0] == counts[1]
+        assert counts[0][:2] == (52, 512)
 
     def test_up_k4_cost_call_count_is_pinned(self, monkeypatch):
         # the group heaps cost a start only when its lower bound reaches the

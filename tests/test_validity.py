@@ -26,6 +26,7 @@ from svp import (
     wilcoxon_threshold,
 )
 from svp import validity
+from svp.costs import gaussian_rounding
 from svp.validity import VALIDITY_KINDS, certainly_invalid, glr_gains
 
 from oracles import (
@@ -504,7 +505,8 @@ class TestCertificate:
         gain = certainly_invalid(ts, s, t, floor, split=u)
         assert gain.hex() == float(gains[u - s - 1]).hex()
         full = glr_scan_naive(ts, s, t)
-        slack = validity._GLR_SLACK * (t - s) * float(ts.cumsum_sq[t])
+        css = ts.cumsum_sq
+        slack = gaussian_rounding(t, float(css[t])) + gaussian_rounding(t - s, float(css[t] - css[s]))
         # gammas whose limit (gamma plus slack) lands on or beside the gain
         # or the full value, where rounding decides whether each settles
         at_gain = gain - slack
