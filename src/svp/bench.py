@@ -244,15 +244,20 @@ METHODS = {
 METHOD_NAMES = tuple(METHODS)
 
 
+def _method_row(method: str) -> tuple:
+    """The ``METHODS`` row of a method name; ``DomainError`` for an unknown one."""
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}, expected one of {METHOD_NAMES}")
+    return METHODS[method]
+
+
 def make_detector(method: str, n: int, true_k: int) -> Callable[[TimeSeries], Segmentation]:
     """Bind a named method to a series length and oracle segment count.
 
     Rank-test thresholds use the oracle typical segment length n / K, so
     the harness resolves them from the scenario truth.
     """
-    if method not in METHODS:
-        raise DomainError(f"unknown method {method!r}, expected one of {METHOD_NAMES}")
-    cost_kind, test_kind, rule, flag = METHODS[method]
+    cost_kind, test_kind, rule, flag = _method_row(method)
     gamma = resolve_gamma(rule, n, n / true_k)
     model = CostModel(cost_kind)
     if test_kind is None:
@@ -263,7 +268,7 @@ def make_detector(method: str, n: int, true_k: int) -> Callable[[TimeSeries], Se
 
 @dataclass(frozen=True)
 class StudyConfig:
-    scenarios: tuple[str, ...] = ("none", "up", "step", "updown")
+    scenarios: tuple[str, ...] = SCENARIO_NAMES
     methods: tuple[str, ...] = ("pelt", "svp-glr")
     jumps: tuple[float, ...] = (0.5, 1.0, 1.5)
     replicates: int = 20
@@ -340,11 +345,18 @@ def run_study(config: StudyConfig) -> tuple[list[StudyRow], dict]:
     """Run the scenario grid and aggregate per-cell mean metrics.
 
     Returns rows plus a summary dict; crashed cells are recorded under
-    summary["failures"] and the surviving rows are kept.
+    summary["failures"] and the surviving rows are kept.  The
+    configuration is checked before any cell runs: counts of at least 1,
+    known method names, and scenarios that ``Scenario`` accepts at
+    ``n`` and ``segments``.
     """
     for name in ("n", "replicates", "segments", "workers"):
         if getattr(config, name) < 1:
             raise ConfigError(f"{name} must be at least 1, got {getattr(config, name)}")
+    for method in config.methods:
+        _method_row(method)
+    for scenario in config.scenarios:
+        Scenario(name=scenario, n=config.n, segments=config.segments, noise=config.noise)
     cells = [
         (scenario, method, jump, replicate, config)
         for scenario in config.scenarios

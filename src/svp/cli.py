@@ -1,7 +1,8 @@
 """Command-line front end: detect, simulate, bench.
 
 Exit codes: 0 success, 2 unreadable input, 3 non-numeric or non-finite data,
-4 invalid flag combination or configuration, 5 benchmark cell failure.
+4 invalid flag (usage errors included), flag combination or configuration,
+5 benchmark cell failure.
 Every detection can emit a manifest that replays to identical output.
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bench import (
+    SCENARIO_NAMES,
     Noise,
     Scenario,
     StudyConfig,
@@ -65,6 +67,14 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an invalid flag (exit 4), not argparse's exit 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise _CliError(EXIT_BAD_FLAGS, f"{self.prog}: {message}")
 
 
 def _read_series_csv(path: str, column: Optional[str]) -> list[float]:
@@ -366,7 +376,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svp",
         description="Change-point detection via smallest valid partitioning.",
     )
@@ -395,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     det.set_defaults(func=cmd_detect)
 
     sim = sub.add_parser("simulate", help="generate a scenario series")
-    sim.add_argument("--scenario", required=True, choices=["none", "up", "step", "updown"])
+    sim.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
     sim.add_argument("--n", type=int, default=1000)
     sim.add_argument("--jump", type=float, default=1.0)
     sim.add_argument("--segments", type=int, default=4)
@@ -409,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="run simulation, runtime or audit studies")
     ben.add_argument("--study", default="f1", choices=["f1", "runtime", "prop2"])
-    ben.add_argument("--scenarios", nargs="+", default=["none", "up", "step", "updown"])
+    ben.add_argument("--scenarios", nargs="+", default=list(SCENARIO_NAMES))
     ben.add_argument("--methods", nargs="+", default=None)
     ben.add_argument("--jumps", type=float, nargs="+", default=[0.5, 1.0, 1.5])
     ben.add_argument("--replicates", type=int, default=20)
@@ -431,10 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.argv = argv
     try:
+        args = build_parser().parse_args(argv)
+        args.argv = argv
         return args.func(args)
     except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

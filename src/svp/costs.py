@@ -10,7 +10,9 @@ keeps one sorted window per start and extends it value by value.  The
 quantile cost sorts the segment on every call.  The Poisson domain
 (nonnegative values) is checked per segment by ``poisson_cost`` and
 ``cost``, and once per series when ``make_cost_fn`` binds the Poisson
-closure, which then skips it.
+closure, which then skips it.  ``fixed_start_costs`` gives one start's
+extended costs against a run of ends, with one ``gaussian_costs`` call
+for the gaussian model and the closure per end otherwise.
 """
 
 from __future__ import annotations
@@ -124,12 +126,6 @@ def max_cost_fall(series: TimeSeries, model: CostModel) -> float:
     return math.inf
 
 
-def gaussian_cost(series: TimeSeries, a: int, b: int) -> float:
-    """Half the within-segment sum of squared deviations from the mean."""
-    _check_range(series, a, b)
-    return float(gaussian_costs(series.cumsum, series.cumsum_sq, a, b))
-
-
 def poisson_cost(series: TimeSeries, a: int, b: int) -> float:
     """Poisson negative max log-likelihood up to data-only terms.
 
@@ -176,7 +172,9 @@ def quantile_cost(series: TimeSeries, a: int, b: int, x: float) -> float:
 def cost(series: TimeSeries, a: int, b: int, model: CostModel) -> float:
     """Evaluate the segment cost for values with indices in (a, b]."""
     if model.kind == "gaussian":
-        return gaussian_cost(series, a, b)
+        # half the within-segment sum of squared deviations from the mean
+        _check_range(series, a, b)
+        return float(gaussian_costs(series.cumsum, series.cumsum_sq, a, b))
     if model.kind == "poisson":
         return poisson_cost(series, a, b)
     if model.kind == "mad":
@@ -223,6 +221,24 @@ def make_cost_fn(series: TimeSeries, model: CostModel) -> Callable[[int, int], f
     if model.kind == "mad":
         return _mad_fn(series)
     return lambda a, b: quantile_cost(series, a, b, model.x)
+
+
+def fixed_start_costs(
+    series: TimeSeries, model: CostModel, cost_fn: Callable[[int, int], float],
+    a: int, ends: range, q: float,
+) -> list[float]:
+    """The extended costs ``q + cost_fn(a, e)`` for e in ``ends``, bit for bit.
+
+    ``cost_fn`` is the closure ``make_cost_fn`` bound for ``series`` and
+    ``model``; ``q`` is the start's DP cost.  A gaussian model costs the
+    whole range in one ``gaussian_costs`` call; the other kinds call the
+    closure per end.  Adding ``q`` here keeps one float per end alive, not
+    a cost and its sum.
+    """
+    if model.kind == "gaussian":
+        b = np.arange(ends.start, ends.stop)
+        return (gaussian_costs(series.cumsum, series.cumsum_sq, a, b) + q).tolist()
+    return [q + cost_fn(a, e) for e in ends]
 
 
 def _mad_fn(series: TimeSeries) -> Callable[[int, int], float]:

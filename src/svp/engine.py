@@ -1,30 +1,54 @@
 """Exact segmentation solvers.
 
 ``svp_run`` minimizes (segment count, total cost) lexicographically over
-all partitions whose every segment passes the validity test.  Candidate
-last-change indices (starts) are grouped by their segment count, each
-group a heap of starts whose DP values live only in the table.
-Each step consults the group with the fewest segments first, in order
-of extended cost with ties to the latest start.  The heap holds lower
-bounds on the starts' extended costs: a key computed at an earlier step,
-lowered by the cost layer's ``max_cost_fall``.  A consult recomputes a
-cost with the scalar cost closure only when its bound reaches the top, so
-a start whose bound stays above the group optimum is not costed at all.
-A start's validity state is created when a scan first reaches it and
-caught up only on demand, by one ``ValidityState.catch_up`` call over
-the values it missed.  That call owns the rest of the validity
-protocol: tracing, the stable-test stop rule and, under a sticky test,
-the full-window check that settles a start the previous step did not
-reach without feeding it.  The engine hands it the latest change,
-``slink[t - 1]``, as a split the check may try first.  Its answer is the
-segment's validity, so the engine names no validity kind, and it names a
-cost kind only to cost a run-ahead's steps in one vectorized call.  With
-a stable test, starts the scan finds invalid are dropped for good, so the
-runner touches one small group per step, which is what makes the
+all partitions whose every segment passes the validity test.  It keeps
+the DP table ``r``, the links ``slink`` and three more things:
+
+- ``groups[k]``, a heap of the eligible starts ``s`` with
+  ``r[s].k == k``, as ``(key, -s, s)`` entries; a start's DP cost is read
+  from ``r``.
+- ``nxt``, the first start not yet in a heap.  A start s is eligible from
+  step s + ``min_seg_len`` on, so each step t first pushes every start
+  from ``nxt`` up to t - ``min_seg_len`` whose ``r[s]`` is finite, with
+  the key ``r[s].q - slack``.  The pending starts are then always the
+  index range ``[nxt, t)``; no queue holds them.
+- ``states[s]``, the start's validity state, created the first time a
+  scan reaches it and deleted when the scan kills it.
+
+Each step consults the groups in increasing segment count and, within a
+group, the starts in increasing extended cost ``r[s].q + C(s, t)`` with
+ties to the latest start; the first valid start is the step's optimum.
+Every heap key is a lower bound on its start's extended cost at any
+later step: the first key lowers ``r[s].q`` (every cost is >= 0), and a
+key computed at step t goes back lowered by ``slack``, the cost layer's
+``max_cost_fall``.  A consult keeps the keys it computes at step t in a
+second heap, ``exact``; while the smallest bound lies below the smallest
+exact key, that start is costed with the scalar closure and moves over,
+otherwise the smallest exact key's start is consulted.  So starts are
+consulted in the order a full sort of the group would give, and a start
+whose bound stays above the group optimum is not costed at all.
+
+A consulted state is caught up only on demand, by one
+``ValidityState.catch_up`` call over the values it missed.  That call
+owns the rest of the validity protocol: tracing, the stable-test stop
+rule and, under a sticky test, the full-window check that settles a
+start the previous step did not reach without feeding it.  The engine
+hands it the latest change, ``slink[t - 1]``, as a split the check may
+try first.  Its answer is the segment's validity, so the engine names no
+validity kind, and it names no cost kind either.  With a stable test,
+starts the scan finds invalid are dropped for good, so the runner
+touches one small group per step, which is what makes the
 incremental-GLR configuration scale near-linearly on change-free data.
-Inside a long valid segment the runner runs ahead: one
-``ValidityState.extend_while_valid`` call answers the steps up to the
-segment's first invalid end at once.
+
+Run-ahead: when the start s found at step t is the only entry of its
+group k and every lower group is empty, s answers each later step until
+(s, t'] turns invalid or the horizon is reached, the step at which the
+first pending start of group k or lower (``r[s'].k <= k`` for s' in
+``[nxt, t)``) becomes eligible.  One ``ValidityState.extend_while_valid``
+call feeds s to that end; the cost layer's ``fixed_start_costs`` fills
+the rows in between with ``r[s].q`` plus their costs, and their links
+are s.  The loop resumes at the stop step.  If a stable test failed s
+there, s's group is deleted, since s was its only entry.
 
 ``op_pelt_run`` is the penalized optimal-partitioning baseline; its
 ``prune`` flag applies the classic PELT inequality.
@@ -33,12 +57,9 @@ segment's first invalid end at once.
 from __future__ import annotations
 
 import math
-from collections import deque
 from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
-
-import numpy as np
 
 from .core import (
     INF_BIPOINT,
@@ -51,7 +72,7 @@ from .core import (
     TimeSeries,
     backtrack,
 )
-from .costs import CostModel, gaussian_costs, make_cost_fn, max_cost_fall
+from .costs import CostModel, fixed_start_costs, make_cost_fn, max_cost_fall
 from .validity import ValidityState, ValidityTest, is_segment_valid
 
 StatTrace = Callable[[int, int, float], None]
@@ -92,95 +113,34 @@ def svp_run(
     settles a sticky start the previous step did not reach.
     """
     n = len(series)
-    if config.min_seg_len > n:
-        raise InfeasiblePartitionError(
-            f"min_seg_len {config.min_seg_len} exceeds the series length {n}"
-        )
-    r, slink = _run_lazy(series, config, stat_trace)
-    if not r[n].is_finite:
-        raise InfeasiblePartitionError(
-            "no partition satisfies the validity constraint; "
-            "check gamma >= 0 and min_seg_len"
-        )
-    table = DpTable(r=tuple(r), s=tuple(slink))
-    return SvpResult(table=table, segmentation=backtrack(table))
-
-
-def _run_lazy(
-    series: TimeSeries, config: EngineConfig, trace: Optional[StatTrace]
-) -> tuple[list[BiPoint], list[int]]:
-    """Bucketed runner: consult starts grouped by segment count.
-
-    ``groups[k]`` holds the starts ``s`` with ``r[s].k == k``: a heap of
-    ``(key, -s, s)`` entries and a list of waiting starts (increasing)
-    that no consult has found eligible yet; a start's DP cost is read
-    from ``r``.  ``states[s]`` is the start's validity state, created the
-    first time a scan reaches it and deleted when the scan kills it.
-    States of unconsulted starts stay frozen until then: ``catch_up``
-    replays the values they missed and says whether ``(s, t]`` is valid,
-    calling ``trace`` for the statistics it evaluates, so the per-step
-    work tracks the consulted starts instead of the whole candidate set.
-    Under a sticky test ``catch_up`` first checks a start the previous
-    step did not reach with one full-window statistic, which settles most
-    doomed starts without a value fed; the latest change ``slink[t - 1]``,
-    read once per step, is passed as a split that the check may try first
-    (for GLR, one constant-time gain that settles most doomed starts
-    before the full scan).
-
-    Within a group, starts are tried in increasing extended cost
-    ``r[s].q + C(s, t)`` (ties to the latest start) and the scan stops at
-    the first valid one, which is the group optimum.  Every heap key is a
-    lower bound on its start's extended cost at any later step: a consult
-    moves its newly eligible waiting starts into the heap with the key
-    ``r[s].q - slack`` (every cost is >= 0), and a key computed at step t
-    goes back lowered by ``slack``, the cost layer's ``max_cost_fall``: 0
-    for mad, the gaussian rounding bound, inf for the costs that can
-    fall.  The scan keeps the keys it computes at step t in a second
-    heap, ``exact``; while the smallest bound lies below the smallest
-    exact key, that start is costed with the scalar closure and moves
-    over, otherwise the smallest exact key's start is consulted.  So
-    starts are consulted in the order a full sort of the group would
-    give, and a start whose bound stays above the group optimum is never
-    costed.  Starts the scan finds invalid under a stable test are
-    dropped.
-
-    Run-ahead: when the start s found at step t is the only eligible one
-    in its group k and every lower group, it answers each later step up
-    to the horizon, where another of those starts becomes eligible, or
-    until (s, t'] turns invalid.  ``extend_while_valid`` feeds s to that
-    end, the steps in between get ``r[s].q`` plus their costs (one
-    ``gaussian_costs`` call, else the closure per step), ``slink`` s and
-    a place among the waiting starts of group k + 1, and the loop resumes
-    at the stop step, with s dropped first if a stable test failed it
-    there.
-    """
-    n = len(series)
+    min_len = config.min_seg_len
+    if min_len > n:
+        raise InfeasiblePartitionError(f"min_seg_len {min_len} exceeds the series length {n}")
     test = config.test
     new_state = test.new_state
     kill = test.gamma_stable
-    min_len = config.min_seg_len
     cost_fn = make_cost_fn(series, config.cost)
     slack = max_cost_fall(series, config.cost)
-    vectorize = config.cost.kind == "gaussian"
-    cs = series.cumsum
-    css = series.cumsum_sq
     r: list[BiPoint] = [ZERO_BIPOINT]
     slink: list[int] = [0]
-    groups: dict[int, tuple[list, deque[int]]] = {0: ([], deque([0]))}
+    groups: dict[int, list[tuple[float, int, int]]] = {}
     states: dict[int, ValidityState] = {}
+    nxt = 0
 
     t = 1
     while t <= n:
+        while nxt <= t - min_len:
+            k, q = r[nxt]
+            if k != math.inf:
+                heappush(groups.setdefault(k, []), (q - slack, -nxt, nxt))
+            nxt += 1
         found: Optional[tuple[BiPoint, int]] = None
         split = slink[t - 1]
         # The first step at which a start other than the one found may be
         # eligible in its group or a lower one.
         horizon = n + 1
         for k in sorted(groups):
-            heap, waiting = groups[k]
-            while waiting and waiting[0] <= t - min_len:
-                s = waiting.popleft()
-                heappush(heap, (r[s].q - slack, -s, s))
+            heap = groups[k]
             # Entries costed at step t, and consulted starts that stay in
             # the group; both go back to the heap as lower bounds.
             exact: list[tuple[float, int, int]] = []
@@ -195,7 +155,7 @@ def _run_lazy(
                 state = states.get(s)
                 if state is None:
                     state = states[s] = new_state(s)
-                if state.catch_up(series, t, trace, split):
+                if state.catch_up(series, t, stat_trace, split):
                     found = (BiPoint(k + 1, key), s)
                     kept.append(entry)
                     break
@@ -207,8 +167,6 @@ def _run_lazy(
                 heappush(heap, (key - slack, neg_s, s))
             if len(heap) > (found is not None):
                 horizon = t
-            elif waiting:
-                horizon = min(horizon, waiting[0] + min_len)
             elif not heap:
                 del groups[k]
             if found is not None:
@@ -219,32 +177,29 @@ def _run_lazy(
             t += 1
             continue
         r_t, s_t = found
+        k = r_t.k - 1
+        if horizon > t:
+            # the pending starts are [nxt, t)
+            horizon = next((s + min_len for s in range(nxt, t) if r[s].k <= k), horizon)
         r.append(r_t)
         slink.append(s_t)
-        groups.setdefault(r_t.k, ([], deque()))[1].append(t)
         t += 1
         if horizon > t:
-            k = r_t.k - 1
-            stop = states[s_t].extend_while_valid(series, horizon - 1, trace)
-            if stop > t:
-                q = r[s_t].q
-                if vectorize:
-                    run = (gaussian_costs(cs, css, s_t, np.arange(t, stop)) + q).tolist()
-                else:
-                    run = [q + cost_fn(s_t, e) for e in range(t, stop)]
-                r.extend([BiPoint(k + 1, v) for v in run])
-                slink.extend([s_t] * (stop - t))
-                groups[k + 1][1].extend(range(t, stop))
+            stop = states[s_t].extend_while_valid(series, horizon - 1, stat_trace)
+            run = fixed_start_costs(series, config.cost, cost_fn, s_t, range(t, stop), r[s_t].q)
+            r.extend([BiPoint(r_t.k, v) for v in run])
+            slink.extend([s_t] * (stop - t))
             if stop < horizon and kill:
-                # s_t is the one entry of its group's heap: no other
-                # start of the group was eligible
-                heap, waiting = groups[k]
-                heap.pop()
-                del states[s_t]
-                if not waiting:
-                    del groups[k]
+                # s_t was the one entry of its group
+                del groups[k], states[s_t]
             t = stop
-    return r, slink
+    if not r[n].is_finite:
+        raise InfeasiblePartitionError(
+            "no partition satisfies the validity constraint; "
+            "check gamma >= 0 and min_seg_len"
+        )
+    table = DpTable(r=tuple(r), s=tuple(slink))
+    return SvpResult(table=table, segmentation=backtrack(table))
 
 
 def segmentation_is_valid(

@@ -236,18 +236,35 @@ class TestStudy:
         ]
 
     def test_failure_marker_preserves_partial_results(self):
-        # an unknown method makes make_detector raise inside every cell of
-        # it, in the worker process too, whatever the start method is
+        # a NaN jump makes every cell of it fail to build its series, in the
+        # worker process too, whatever the start method is
         for workers in (1, 2):
             config = StudyConfig(
-                scenarios=("none",), methods=("svp-glr", "no-such-method"), jumps=(1.0,),
+                scenarios=("up",), methods=("svp-glr",), jumps=(1.0, math.nan),
                 replicates=3, n=60, workers=workers,
             )
             rows, summary = run_study(config)
-            assert [(r.method, r.replicate) for r in rows] == [("svp-glr", i) for i in range(3)]
+            assert [(r.jump, r.replicate) for r in rows] == [(1.0, i) for i in range(3)]
             failures = summary["failures"]
             assert [f["replicate"] for f in failures] == [0, 1, 2], workers
-            assert all("no-such-method" in f["error"] for f in failures)
+            assert all("values must be finite" in f["error"] for f in failures)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"methods": ("svp-glr", "no-such-method")}, "unknown method 'no-such-method'"),
+            ({"scenarios": ("none", "no-such-scenario")}, "unknown scenario 'no-such-scenario'"),
+            ({"n": 10, "segments": 20}, "true_changes must be strictly increasing"),
+        ],
+    )
+    def test_configuration_is_checked_before_any_cell(self, monkeypatch, change, message):
+        def no_cell(*args):
+            raise AssertionError("the study ran a cell before checking its configuration")
+
+        monkeypatch.setattr(svp.bench, "_run_cell", no_cell)
+        config = dataclasses.replace(StudyConfig(replicates=1, n=60), **change)
+        with pytest.raises(DomainError, match=message):
+            run_study(config)
 
 
 class TestSlopeFit:

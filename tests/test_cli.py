@@ -165,6 +165,15 @@ class TestDetect:
 
     def test_exit_codes(self, tmp_path, capsys):
         assert main(["detect", "--input", str(tmp_path / "absent.csv"), "--gamma", "1"]) == 2
+        # usage errors are invalid flags (4); 2 stays for unreadable input
+        assert main(["detect", "--input", str(tmp_path / "absent.csv"), "--test", "nosuch"]) == 4
+        assert "argument --test: invalid choice: 'nosuch'" in capsys.readouterr().err
+        assert main(["simulate", "--scenario", "up", "--n", "abc", "--out", "x.csv"]) == 4
+        assert "argument --n: invalid int value: 'abc'" in capsys.readouterr().err
+        assert main([]) == 4
+        with pytest.raises(SystemExit) as exited:
+            main(["detect", "--help"])
+        assert exited.value.code == 0
         bad = tmp_path / "bad.csv"
         bad.write_text("value\n1.0\noops\n2.0\n")
         assert main(["detect", "--input", str(bad), "--gamma", "1"]) == 3
@@ -419,6 +428,11 @@ class TestBench:
             (["--tolerance", "nan"], "--tolerance"),
             (["--workers", "0"], "--workers"),
             (["--workers", "-2"], "--workers"),
+            (["--methods", "nosuch"], "unknown method 'nosuch'"),
+            (["--scenarios", "up", "nosuch"], "unknown scenario 'nosuch'"),
+            (["--n", "10", "--segments", "20"], "true_changes must be strictly increasing"),
+            (["--n", "abc"], "argument --n: invalid int value: 'abc'"),
+            (["--study", "nosuch"], "argument --study: invalid choice: 'nosuch'"),
         ],
     )
     def test_bad_numeric_flags_fail_before_any_cell(self, tmp_path, capsys, monkeypatch,

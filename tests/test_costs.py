@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svp import CostModel, DomainError, InvalidRangeError, TimeSeries, cost
-from svp.costs import gaussian_costs, mad_cost, make_cost_fn, poisson_cost
+from svp.costs import fixed_start_costs, gaussian_costs, mad_cost, make_cost_fn, poisson_cost
 
 from oracles import exact_mad, naive_cost
 
@@ -147,6 +147,29 @@ class TestGaussianCosts:
             ends = np.arange(a + 1, n + 1)
             got = gaussian_costs(ts.cumsum, ts.cumsum_sq, a, ends)
             assert [float(c).hex() for c in got] == [closure(a, int(b)).hex() for b in ends]
+
+
+class TestFixedStartCosts:
+    """``fixed_start_costs`` gives ``q`` plus the closure's costs bit for
+    bit, for every cost kind, over random starts, end ranges and DP costs."""
+
+    @pytest.mark.parametrize("model", [CostModel("gaussian"), CostModel("poisson"),
+                                       CostModel("mad"), CostModel("quantile", 0.2)],
+                             ids=["gaussian", "poisson", "mad", "quantile"])
+    def test_equals_the_closure(self, model):
+        rng = np.random.default_rng(23)
+        ties = np.round(2.0 * np.abs(rng.normal(0.0, 3.0, size=150))) / 2.0
+        for ts in (TestGaussianCosts.runs_at_offset(), series(ties)):
+            n = len(ts)
+            cost_fn, closure = make_cost_fn(ts, model), make_cost_fn(ts, model)
+            for a in sorted(rng.integers(0, n, size=25)):
+                a = int(a)
+                first = int(rng.integers(a + 1, n + 1))
+                ends = range(first, int(rng.integers(first, n + 1)) + 1)
+                q = float(rng.choice([0.0, rng.uniform(0.0, 1e3)]))
+                got = fixed_start_costs(ts, model, cost_fn, a, ends, q)
+                assert [c.hex() for c in got] == [(q + closure(a, e)).hex() for e in ends]
+            assert fixed_start_costs(ts, model, cost_fn, 0, range(5, 5), 1.5) == []
 
 
 @st.composite

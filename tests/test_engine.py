@@ -503,7 +503,7 @@ class TestRunAheadDifferential:
         "kind,gamma", [("glr_gaussian_focus", 2.0 * math.log(1500)), ("range", 5.5)],
         ids=["glr", "range"],
     )
-    @pytest.mark.parametrize("name,segments", [("none", 1), ("up", 3)])
+    @pytest.mark.parametrize("name,segments", [("none", 1), ("up", 3), ("updown", 8)])
     def test_matches_reference(self, monkeypatch, name, segments, kind, gamma, min_seg_len):
         ran = []
         extend = validity.ValidityState.extend_while_valid
@@ -520,6 +520,16 @@ class TestRunAheadDifferential:
         lazy = svp_run(ts, config)
         assert table_hex(lazy) == table_hex(reference_run(ts, config))
         assert max(ran) >= 100
+
+    @pytest.mark.parametrize("name,segments,seed", [("up", 3, 0), ("updown", 20, 2)])
+    def test_pending_starts_block_the_run_ahead(self, name, segments, seed):
+        # With a minimum segment length the starts of the last
+        # min_seg_len - 1 steps are pending.  On these series a pending
+        # start of the found start's own group becomes eligible at the next
+        # step, so no run-ahead may start there.
+        ts = generate(Scenario(name=name, n=400, jump=1.5, segments=segments, seed=seed))
+        config = gaussian_config(ValidityTest("range", gamma=5.5), min_seg_len=12)
+        assert table_hex(svp_run(ts, config)) == table_hex(reference_run(ts, config))
 
 
 class TestFeedCounts:
