@@ -451,29 +451,33 @@ def run_runtime_study(
     """Time detectors on change-free gaussian data of growing length.
 
     Each (method, n) cell reports the best of ``repeats`` runs on the
-    same series.  "op-unpruned" is the optimal-partitioning baseline
-    with ``prune=False``, a clean quadratic reference.  The lengths are
-    checked before anything is timed: the log-log slope fit needs two
-    distinct ones.
+    same series.  The repeats go round-robin: each round times every cell
+    once, so a burst of load on a shared machine slows one repeat of many
+    cells, not every repeat of one.  "op-unpruned" is the
+    optimal-partitioning baseline with ``prune=False``, a clean quadratic
+    reference.  The lengths are checked before anything is timed: the
+    log-log slope fit needs two distinct ones.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
     if len(set(lengths)) < 2:
         raise ConfigError("a log-log slope needs at least two distinct lengths")
-    rows: list[RuntimeRow] = []
+    cells = []
     for n in lengths:
         series = generate(Scenario(name="none", n=n, seed=seed))
-        for method in methods:
-            detector = make_detector(method, n, 1)
-            best = math.inf
-            k_detected = 0
-            for _ in range(repeats):
-                start = time.perf_counter()
-                segmentation = detector(series)
-                best = min(best, time.perf_counter() - start)
-                k_detected = segmentation.k
-            rows.append(RuntimeRow(method=method, n=n, runtime_s=best, k_detected=k_detected))
-    return rows
+        cells += [(method, n, series, make_detector(method, n, 1)) for method in methods]
+    best = [math.inf] * len(cells)
+    k_detected = [0] * len(cells)
+    for _ in range(repeats):
+        for i, (_, _, series, detector) in enumerate(cells):
+            start = time.perf_counter()
+            segmentation = detector(series)
+            best[i] = min(best[i], time.perf_counter() - start)
+            k_detected[i] = segmentation.k
+    return [
+        RuntimeRow(method=method, n=n, runtime_s=runtime, k_detected=k)
+        for (method, n, _, _), runtime, k in zip(cells, best, k_detected)
+    ]
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:

@@ -130,6 +130,8 @@ def _read_series_csv(path: str, column: Optional[str]) -> list[float]:
     values = []
     for row in rows[int(has_header):]:
         if index >= len(row):
+            if all(index >= len(other) for other in rows):
+                raise _CliError(EXIT_BAD_FLAGS, f"column index {index} is past every row")
             raise _CliError(EXIT_BAD_DATA, f"row {row!r} lacks column {index}")
         values.append(parse(row[index]))
     if not values:
@@ -395,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bic | bic15 | wilcoxon[:<len>] | mood:<alpha> (instead of --gamma)",
     )
     det.add_argument("--typical-len", type=float, default=None, help="typical length for the rank rules (default n)")
-    det.add_argument("--sticky", dest="sticky", action="store_true", default=True)
-    det.add_argument("--no-sticky", dest="sticky", action="store_false")
+    det.add_argument("--sticky", action=argparse.BooleanOptionalAction, default=True)
     det.add_argument("--min-seg-len", type=int, default=1)
     det.add_argument("--standardize", choices=["mad-diff"], default=None)
     det.add_argument("--out", default=None, help="output JSON path (default stdout)")

@@ -30,25 +30,28 @@ whose bound stays above the group optimum is not costed at all.
 
 A consulted state is caught up only on demand, by one
 ``ValidityState.catch_up`` call over the values it missed.  That call
-owns the rest of the validity protocol: tracing, the stable-test stop
-rule and, under a sticky test, the full-window check that settles a
-start the previous step did not reach without feeding it.  The engine
-hands it the latest change, ``slink[t - 1]``, as a split the check may
-try first.  Its answer is the segment's validity, so the engine names no
-validity kind, and it names no cost kind either.  With a stable test,
-starts the scan finds invalid are dropped for good, so the runner
-touches one small group per step, which is what makes the
+owns the rest of the validity protocol: tracing, the sticky stop rule
+and the full-window check that settles a sticky start the previous step
+did not reach without feeding it.  The engine hands it the latest
+change, ``slink[t - 1]``, as a split the check may try first.  Its
+answer is the segment's validity, so the engine names no validity kind,
+and it names no cost kind either.  Under a sticky test, the one notion
+of stability, starts the scan finds invalid are dropped for good, so the
+runner touches one small group per step, which is what makes the
 incremental-GLR configuration scale near-linearly on change-free data.
+A group the scan leaves empty is deleted.
 
-Run-ahead: when the start s found at step t is the only entry of its
-group k and every lower group is empty, s answers each later step until
-(s, t'] turns invalid or the horizon is reached, the step at which the
-first pending start of group k or lower (``r[s'].k <= k`` for s' in
-``[nxt, t)``) becomes eligible.  One ``ValidityState.extend_while_valid``
-call feeds s to that end; the cost layer's ``fixed_start_costs`` fills
-the rows in between with ``r[s].q`` plus their costs, and their links
-are s.  The loop resumes at the stop step.  If a stable test failed s
-there, s's group is deleted, since s was its only entry.
+Run-ahead: after the scan at step t, when the start s found is the only
+entry of its group k and k is the lowest group left, s answers each
+later step until (s, t'] turns invalid or the horizon is reached, the
+step at which the first pending start of group k or lower
+(``r[s'].k <= k`` for an s' no heap holds yet) becomes eligible.  One
+``ValidityState.extend_while_valid`` call feeds s to that end; the cost
+layer's ``fixed_start_costs`` fills the rows in between with ``r[s].q``
+plus their costs, and their links are s.  The loop resumes at the stop
+step.  If a sticky test failed s there, s's group is deleted, since s
+was its only entry.  Under a non-sticky test s stays, and the stop
+step's scan consults it again.
 
 ``op_pelt_run`` is the penalized optimal-partitioning baseline; its
 ``prune`` flag applies the classic PELT inequality.
@@ -108,9 +111,11 @@ def svp_run(
 
     ``stat_trace(s, t, value)`` is called for every validity statistic
     the run evaluates, which supports exactness audits: every prefix a
-    sticky state is fed, the final statistic of a non-sticky catch-up,
-    and the full-window value with which ``ValidityState.catch_up``
-    settles a sticky start the previous step did not reach.
+    sticky state is fed, every end a run-ahead feeds, the final
+    statistic of a non-sticky catch-up that feeds a value, and the
+    full-window value with which ``ValidityState.catch_up`` settles a
+    sticky start the previous step did not reach.  So each (s, t) is
+    traced at most once.
     """
     n = len(series)
     min_len = config.min_seg_len
@@ -118,7 +123,7 @@ def svp_run(
         raise InfeasiblePartitionError(f"min_seg_len {min_len} exceeds the series length {n}")
     test = config.test
     new_state = test.new_state
-    kill = test.gamma_stable
+    kill = test.sticky
     cost_fn = make_cost_fn(series, config.cost)
     slack = max_cost_fall(series, config.cost)
     r: list[BiPoint] = [ZERO_BIPOINT]
@@ -136,9 +141,6 @@ def svp_run(
             nxt += 1
         found: Optional[tuple[BiPoint, int]] = None
         split = slink[t - 1]
-        # The first step at which a start other than the one found may be
-        # eligible in its group or a lower one.
-        horizon = n + 1
         for k in sorted(groups):
             heap = groups[k]
             # Entries costed at step t, and consulted starts that stay in
@@ -165,9 +167,7 @@ def svp_run(
                     kept.append(entry)
             for key, neg_s, s in exact + kept:
                 heappush(heap, (key - slack, neg_s, s))
-            if len(heap) > (found is not None):
-                horizon = t
-            elif not heap:
+            if not heap:
                 del groups[k]
             if found is not None:
                 break
@@ -178,12 +178,15 @@ def svp_run(
             continue
         r_t, s_t = found
         k = r_t.k - 1
-        if horizon > t:
-            # the pending starts are [nxt, t)
-            horizon = next((s + min_len for s in range(nxt, t) if r[s].k <= k), horizon)
         r.append(r_t)
         slink.append(s_t)
         t += 1
+        if len(groups[k]) > 1 or k != min(groups):
+            continue
+        # s_t is alone in the lowest group, so it answers every step before
+        # the first at which a pending start, one of [nxt, t), is eligible
+        # in group k or a lower one.
+        horizon = next((s + min_len for s in range(nxt, t) if r[s].k <= k), n + 1)
         if horizon > t:
             stop = states[s_t].extend_while_valid(series, horizon - 1, stat_trace)
             run = fixed_start_costs(series, config.cost, cost_fn, s_t, range(t, stop), r[s_t].q)

@@ -23,17 +23,20 @@ For the GLR test an untraced catch-up first tries the gain at one split
 the caller names (the engine's latest change), a constant-time element
 of the full scan that settles most doomed starts on its own.
 ``extend_while_valid`` feeds a state forward to its first invalid end,
-which is how the engine answers a long valid stretch in one call.  The
-sticky GLR state also bounds how far its maximum can have grown since it
-was last evaluated, in constant time per value, and evaluates only when
-that bound could exceed gamma.  Both GLR shortcuts, the full-window
+which is how the engine answers a long valid stretch in one call; a
+sticky ``catch_up`` feeds through it too, so stable feeding has one
+loop and one trace rule.  The sticky GLR state also bounds how far its
+maximum can have grown since it was last evaluated, in constant time
+per value, and evaluates only when that bound could exceed gamma.  Both GLR shortcuts, the full-window
 check and the growth bound, take their rounding margin from the cost
 layer's ``gaussian_rounding``, the one derived bound on how far a float
 gaussian cost or GLR value may stray.
 
 The sticky flag turns any test into a stable one: once a growing
-segment fails, every extension of it reports invalid.  The range test
-has that property natively (max - min never shrinks under extension).
+segment fails, every extension of it reports invalid.  It is the one
+notion of stability here.  The range test has that property natively
+(max - min never shrinks under extension), so it is sticky by
+definition and gets the full-window check too.
 """
 
 from __future__ import annotations
@@ -50,7 +53,11 @@ from .costs import _check_range, gaussian_costs, gaussian_rounding
 
 @dataclass(frozen=True)
 class ValidityTest:
-    """Test selector plus threshold; ``sticky`` turns on the stable wrapper."""
+    """Test selector plus threshold; ``sticky`` turns on the stable wrapper.
+
+    The range test is sticky whatever ``sticky`` says: max - min never
+    shrinks as a segment grows, so the wrapper changes no answer.
+    """
 
     kind: str
     gamma: float
@@ -63,11 +70,8 @@ class ValidityTest:
             )
         if not math.isfinite(self.gamma):
             raise DomainError("gamma must be finite")
-
-    @property
-    def gamma_stable(self) -> bool:
-        """True when invalid segments stay invalid under right extension."""
-        return self.sticky or self.kind == "range"
+        if self.kind == "range":
+            object.__setattr__(self, "sticky", True)
 
     def new_state(self, start: int) -> "ValidityState":
         cls = _STATE_CLASSES[self.kind]
@@ -126,41 +130,36 @@ class ValidityState:
     def catch_up(self, series: TimeSeries, upto: int, trace=None, split: int = 0) -> bool:
         """Bring the state to ``(start, upto]`` and say whether it is valid.
 
-        Feeds ``series.values[start + length : upto]``, one ``feed`` per
-        value.  Under a sticky test, a state more than one value behind
-        (the previous step did not reach this start) is first checked with
-        one full-window statistic, ``certainly_invalid``; when that
-        settles the segment, the state is marked tripped, nothing is fed
-        and the statistic is traced once as ``(start, upto, value)``.
-        ``split`` is a hint for that check, passed on only when there is
-        no ``trace``, so traced runs see the full-window value.
-        Otherwise, when given, ``trace(start, end, statistic)`` is called
-        for every statistic the test evaluates: after each value under a
-        sticky test, once at the end otherwise.  Under a stable test the
-        catch-up stops right after the first value that leaves the state
-        invalid and returns False; that segment and every extension of it
-        are invalid.
+        A non-sticky state is fed ``series.values[start + length : upto]``,
+        one ``feed`` per value, and when given, ``trace(start, upto,
+        statistic)`` sees its final statistic once, if a value was fed.
+        A sticky state more than one value behind (the previous step did
+        not reach this start) is first checked with one full-window
+        statistic, ``certainly_invalid``; when that settles the segment,
+        the state is marked tripped, nothing is fed and the statistic is
+        traced once as ``(start, upto, value)``.  ``split`` is a hint for
+        that check, passed on only when there is no ``trace``, so traced
+        runs see the full-window value.  Otherwise a sticky state is fed
+        by ``extend_while_valid``, which stops right after the first value
+        that trips it; that segment and every extension of it are invalid.
         """
         start = self.start
         test = self.test
-        if test.sticky and upto - start - self.length > 1:
+        if not test.sticky:
+            values = series.values[start + self.length : upto]
+            for value in values.tolist():
+                self.feed(value)
+            if trace is not None and values.size:
+                trace(start, upto, self.statistic)
+            return self.is_valid
+        if upto - start - self.length > 1:
             value = certainly_invalid(series, start, upto, test, split if trace is None else 0)
             if value is not None:
                 self.tripped = True
                 if trace is not None:
                     trace(start, upto, value)
                 return False
-        stop = test.gamma_stable
-        each = trace if test.sticky else None
-        for value in series.values[start + self.length : upto].tolist():
-            self.feed(value)
-            if each is not None:
-                each(start, start + self.length, self.statistic)
-            if stop and not self.is_valid:
-                return False
-        if trace is not None and each is None:
-            trace(start, upto, self.statistic)
-        return self.is_valid
+        return self.extend_while_valid(series, upto, trace) > upto and not self.tripped
 
     def extend_while_valid(self, series: TimeSeries, upto: int, trace=None) -> int:
         """Feed values while the segment stays valid; return the first invalid end.
@@ -168,16 +167,13 @@ class ValidityState:
         Feeds ``series.values[start + length : upto]`` one ``feed`` per
         value and stops right after the first end e at which
         ``(start, e]`` is invalid, returning e, or returns ``upto + 1``
-        when every end up to ``upto`` is valid.  ``trace`` sees what a
-        ``catch_up`` per end would show: every statistic under a sticky
-        test, the invalid one included; otherwise the statistic of each
-        valid end, so a ``catch_up`` to the returned end traces that one
-        just once.  The values are sliced in chunks that double in size,
-        so a long run converts each value once and never holds the tail
-        of the series as a list.
+        when every end up to ``upto`` is valid.  When given,
+        ``trace(start, e, statistic)`` sees the statistic of every end
+        fed, the invalid one included.  The values are sliced in chunks
+        that double in size, so a long run converts each value once and
+        never holds the tail of the series as a list.
         """
         start = self.start
-        each = trace if self.test.sticky else None
         values = series.values
         end = start + self.length
         size = 1
@@ -185,12 +181,10 @@ class ValidityState:
             for value in values[end : min(end + size, upto)].tolist():
                 self.feed(value)
                 end += 1
-                if each is not None:
-                    each(start, end, self.statistic)
+                if trace is not None:
+                    trace(start, end, self.statistic)
                 if not self.is_valid:
                     return end
-                if trace is not None and each is None:
-                    trace(start, end, self.statistic)
             size *= 2
         return upto + 1
 

@@ -3,11 +3,14 @@
 Usage: python tests/table_digest.py <src-dir>
 
 Imports ``svp`` from ``<src-dir>`` (the ``src`` directory of a checkout),
-solves every configuration of the grid below and prints the run count and
-one sha256 over each run's table ``r`` (float hex), links ``slink`` and
-``stat_trace`` calls.  Two checkouts that print the same digest give
-bit-identical tables and traces on the grid, which is how an engine change
-is shown to leave the output alone.  Pytest does not collect this file.
+solves every configuration of the grid below and prints the run count, one
+sha256 over each run's table ``r`` (float hex), links ``slink`` and
+``stat_trace`` calls, and two more over the same runs: one over the tables
+and links alone, one over the traces alone.  Two checkouts that print the
+same combined digest give bit-identical tables and traces on the grid,
+which is how an engine change is shown to leave the output alone; the split
+digests show a change that moves the traces but leaves the tables.  Pytest
+does not collect this file.
 
 The grid: scenarios none, up, step and updown; n 120 and 400 with
 max(2, n / 40) segments and jump 1.5; offsets 0, 1e4 and 1e6; raw values
@@ -52,7 +55,7 @@ def main(src_dir: str) -> None:
     )
     from svp.bench import Noise, Scenario, generate, resolve_gamma
 
-    digest = hashlib.sha256()
+    digest, tables, traces = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = 0
     for n, name, (noise, seed) in SERIES:
         scenario = Scenario(name, n, 1.5, max(2, n // 40), Noise(noise, df=3), seed)
@@ -79,9 +82,13 @@ def main(src_dir: str) -> None:
                 except InfeasiblePartitionError:
                     rows = ["infeasible"]
                 digest.update("\n".join(rows + calls + [""]).encode())
+                tables.update("\n".join(rows + [""]).encode())
+                traces.update("\n".join(calls + [""]).encode())
                 count += 1
     print(f"runs {count}")
     print(f"sha256 {digest.hexdigest()}")
+    print(f"tables sha256 {tables.hexdigest()}")
+    print(f"traces sha256 {traces.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -105,6 +105,30 @@ class TestDetect:
         assert main(replay) == 0
         assert json.loads(out1.read_text())["boundaries"] == json.loads(out2.read_text())["boundaries"]
 
+    def test_sticky_flag_spellings(self, tmp_path):
+        csv_path = tmp_path / "sticky.csv"
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=150)
+        values[75:] += 6.0
+        write_csv(csv_path, values)
+        out1 = tmp_path / "a.json"
+        manifest = tmp_path / "a.manifest.json"
+        for flag, sticky in (("--sticky", True), ("--no-sticky", False)):
+            assert main(["detect", "--input", str(csv_path), "--test", "glr", "--gamma-rule",
+                         "bic", flag, "--out", str(out1), "--manifest", str(manifest)]) == 0
+            assert json.loads(manifest.read_text())["config"]["sticky"] is sticky
+        # range is sticky by definition, whatever the flag says
+        args = ["detect", "--input", str(csv_path), "--test", "range", "--gamma", "7",
+                "--no-sticky", "--out", str(out1), "--manifest", str(manifest)]
+        assert main(args) == 0
+        doc = json.loads(manifest.read_text())
+        assert doc["config"]["sticky"] is True
+        out2 = tmp_path / "b.json"
+        assert main([arg.replace(str(out1), str(out2)) for arg in doc["command"][1:]]) == 0
+        boundaries = json.loads(out1.read_text())["boundaries"]
+        assert json.loads(out2.read_text())["boundaries"] == boundaries
+        assert len(boundaries) > 2
+
     def test_column_selection_by_name(self, tmp_path, capsys):
         csv_path = tmp_path / "multi.csv"
         csv_path.write_text("id,reading\n1,5.0\n2,5.0\n3,5.0\n")
@@ -220,10 +244,18 @@ class TestDetect:
         assert "poisson cost requires nonnegative values" in capsys.readouterr().err
         columns = tmp_path / "cols.csv"
         columns.write_text("a,b\n1.0,10.0\n2.0,20.0\n3.0,30.0\n")
-        for index in ("-1", "-2"):  # not counted from the end
+        for index in ("-1", "-2", "2", "7"):  # not counted from the end, nor past every row
             assert main(["detect", "--input", str(columns), "--column", index, "--test", "range",
                          "--gamma", "100", "--out", out]) == 4
             assert "column index" in capsys.readouterr().err
+        assert main(["detect", "--input", str(single), "--column", "3", "--gamma", "1",
+                     "--out", out]) == 4
+        assert "column index 3 is past every row" in capsys.readouterr().err
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("a,b\n1.0,10.0\n2.0\n3.0,30.0\n")  # only some rows lack it: bad data
+        assert main(["detect", "--input", str(ragged), "--column", "1", "--test", "range",
+                     "--gamma", "100", "--out", out]) == 3
+        assert "lacks column 1" in capsys.readouterr().err
         for typical in ("nan", "inf", "-inf"):
             assert main(["detect", "--input", str(good), "--test", "mood", "--gamma-rule",
                          "mood:0.01", f"--typical-len={typical}", "--out", out]) == 4

@@ -505,16 +505,15 @@ class TestRunAheadDifferential:
     )
     @pytest.mark.parametrize("name,segments", [("none", 1), ("up", 3), ("updown", 8)])
     def test_matches_reference(self, monkeypatch, name, segments, kind, gamma, min_seg_len):
+        # a run-ahead, and only a run-ahead, fills rows with one start's costs
         ran = []
-        extend = validity.ValidityState.extend_while_valid
+        fixed = engine.fixed_start_costs
 
-        def extend_spy(state, *args):
-            first = state.start + state.length + 1
-            stop = extend(state, *args)
-            ran.append(stop - first)
-            return stop
+        def fixed_spy(series, cost, cost_fn, s, ends, base):
+            ran.append(len(ends))
+            return fixed(series, cost, cost_fn, s, ends, base)
 
-        monkeypatch.setattr(validity.ValidityState, "extend_while_valid", extend_spy)
+        monkeypatch.setattr(engine, "fixed_start_costs", fixed_spy)
         ts = generate(Scenario(name=name, n=1500, jump=1.5, segments=segments, seed=3))
         config = gaussian_config(ValidityTest(kind, gamma=gamma), min_seg_len=min_seg_len)
         lazy = svp_run(ts, config)
@@ -589,16 +588,17 @@ class TestFeedCounts:
         [
             ("glr_gaussian_focus", 2.0 * math.log(1000), True, (0, 253, 499, 747, 1000), 1771),
             ("glr_gaussian_focus", 2.0 * math.log(1000), False, (0, 253, 499, 747, 1000), 189678),
-            ("range", 7.0, False, (0, 499, 747, 1000), 1000),
+            ("range", 7.0, False, (0, 499, 747, 1000), 2021),
         ],
         ids=["sticky-glr", "glr", "range"],
     )
     def test_up_k4_count_is_pinned(self, kind, gamma, sticky, boundaries, count):
         # the sticky row was re-measured when full-window statistics began
         # to settle starts far behind (75688 before, every doomed start fed
-        # value by value); the other rows date from before states owned the
-        # trace.  A change here means the runner consults, feeds or traces
-        # different starts
+        # value by value); the range row when range became sticky by
+        # definition (1000 before, one final statistic per consult); the
+        # glr row dates from before states owned the trace.  A change here
+        # means the runner consults, feeds or traces different starts
         n = 1000
         ts = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=5))
         test = ValidityTest(kind, gamma=gamma, sticky=sticky)
@@ -606,6 +606,30 @@ class TestFeedCounts:
         result = svp_run(ts, gaussian_config(test), stat_trace=lambda s, t, v: calls.append(s))
         assert result.segmentation.boundaries == boundaries
         assert len(calls) == count
+
+    def test_range_is_sticky_by_definition(self, monkeypatch):
+        # max - min never shrinks as a segment grows, so the sticky flag
+        # changes no answer: a range test built non-sticky feeds, traces
+        # and solves as the sticky one.  Scanned as a plain stable test it
+        # fed 201755 values here, against the sticky run's 1516
+        feeds = []
+        feed = validity.ValidityState.feed
+
+        def feed_spy(state, value):
+            feeds.append(state.start)
+            feed(state, value)
+
+        monkeypatch.setattr(validity.ValidityState, "feed", feed_spy)
+        ts = generate(Scenario(name="up", n=1000, jump=1.5, segments=4, seed=5))
+        runs = []
+        for sticky in (False, True):
+            feeds.clear()
+            calls = []
+            test = ValidityTest("range", gamma=7.0, sticky=sticky)
+            result = svp_run(ts, gaussian_config(test), lambda *call: calls.append(call))
+            runs.append((len(feeds), calls, table_hex(result)))
+        assert runs[0] == runs[1]
+        assert runs[1][0] == 1516
 
     @pytest.mark.parametrize("traced,scans", [(False, 71), (True, 538)], ids=["untraced", "traced"])
     def test_up_k4_full_scan_count_is_pinned(self, monkeypatch, traced, scans):
@@ -679,7 +703,7 @@ class TestFeedCounts:
 
 
 class TestStateLifetime:
-    """A start the scan or a run-ahead kills under a stable test loses its
+    """A start the scan or a run-ahead kills under a sticky test loses its
     validity state before the next step; outputs cannot show a kept dead
     state."""
 
@@ -693,9 +717,11 @@ class TestStateLifetime:
         ids=["sticky-glr", "range", "glr"],
     )
     def test_killed_states_are_freed(self, monkeypatch, kind, gamma, sticky):
-        # the slotted states take no weakref, so a subclass counts them
+        # the slotted states take no weakref, so a subclass counts them.  A
+        # sticky catch_up feeds through extend_while_valid, so only the
+        # calls made outside a catch_up are run-aheads
         created, killed, live = set(), set(), set()
-        checked, spans = [], []
+        checked, spans, consulting = [], [], []
         base = validity._STATE_CLASSES[kind]
 
         class Counted(base):
@@ -711,18 +737,22 @@ class TestStateLifetime:
                 if not checked or checked[-1] != upto:
                     checked.append(upto)
                     assert live == created - killed
+                consulting.append(upto)
                 valid = super().catch_up(series, upto, *args)
-                if not valid and self.test.gamma_stable:
+                consulting.pop()
+                if not valid and self.test.sticky:
                     killed.add(self.start)
                 return valid
 
             def extend_while_valid(self, series, upto, *args):
+                if consulting:
+                    return super().extend_while_valid(series, upto, *args)
                 # a run-ahead answers its steps without a catch_up
                 assert live == created - killed
                 first = self.start + self.length + 1
                 stop = super().extend_while_valid(series, upto, *args)
                 spans.append(range(first, stop))
-                if stop <= upto and self.test.gamma_stable:
+                if stop <= upto and self.test.sticky:
                     killed.add(self.start)
                 return stop
 
@@ -732,8 +762,8 @@ class TestStateLifetime:
         svp_run(ts, gaussian_config(test))
         ran = [t for span in spans for t in span]
         assert sorted(checked + ran) == list(range(1, 401))
-        assert bool(killed) == test.gamma_stable
-        if test.gamma_stable:
+        assert bool(killed) == test.sticky
+        if test.sticky:
             assert ran
 
 

@@ -308,34 +308,32 @@ class TestStability:
 
 
 class TestCatchUp:
-    """``catch_up`` answers validity, traces, and stops early only under a stable test."""
+    """``catch_up`` answers validity, traces, and stops early only under a sticky test."""
 
     SERIES = TimeSeries.from_values([0.0, 0.1, -0.1, 0.0, 5.0, 5.1, 4.9, 5.0, 0.0, 0.1])
 
     @pytest.mark.parametrize(
-        "kind,sticky,gamma,stable",
+        "kind,sticky,gamma",
         [
-            ("glr_gaussian_focus", True, 2.0, True),
-            ("range", False, 1.0, True),
-            ("glr_gaussian_focus", False, 2.0, False),
-            ("mood", False, 1.0, False),
+            ("glr_gaussian_focus", True, 2.0),
+            # range is sticky by definition, whatever the flag says
+            ("range", False, 1.0),
+            ("glr_gaussian_focus", False, 2.0),
+            ("mood", False, 1.0),
         ],
     )
-    def test_invalid_segment(self, kind, sticky, gamma, stable):
+    def test_invalid_segment(self, kind, sticky, gamma):
         start, upto = 2, len(self.SERIES)
         state = ValidityTest(kind, gamma, sticky).new_state(start)
         trace = []
         valid = state.catch_up(self.SERIES, upto, lambda s, t, v: trace.append((s, t, v)))
         assert valid == state.is_valid
         assert not valid
-        if sticky:
+        if state.test.sticky:
             # 8 values behind: the full-window statistic settles it, nothing is fed
             assert state.length == 0
             assert [(s, t) for s, t, _ in trace] == [(start, upto)]
             assert trace[0][2] > gamma
-        elif stable:
-            assert 0 < state.length < upto - start
-            assert trace == []
         else:
             assert state.length == upto - start
             assert [(s, t) for s, t, _ in trace] == [(start, upto)]
@@ -383,9 +381,9 @@ class TestCatchUp:
     @pytest.mark.parametrize("start,upto", [(0, 10), (2, 10), (5, 10), (0, 3), (8, 9)])
     def test_extend_while_valid_is_catch_up_per_end(self, kind, sticky, gamma, start, upto):
         # a run-ahead traces and stops as a catch_up to each end in turn
-        # would.  The engine drops a stable test's start at the end it
-        # returns and consults any other start there, where a catch_up
-        # adds just that end's statistic
+        # would.  At the end it returns, where the engine drops a sticky
+        # test's start and consults any other start again, a catch_up has
+        # nothing to feed: it says invalid and traces nothing
         test = ValidityTest(kind, gamma, sticky)
         stepped, ran = test.new_state(start), test.new_state(start)
         stepped_trace, ran_trace = [], []
@@ -397,7 +395,7 @@ class TestCatchUp:
         stop = ran.extend_while_valid(self.SERIES, upto, lambda *r: ran_trace.append(r))
         assert stop == expected
         assert ran.length == stepped.length == min(stop, upto) - start
-        if stop <= upto and not test.gamma_stable:
+        if stop <= upto:
             assert not ran.catch_up(self.SERIES, stop, lambda *r: ran_trace.append(r))
         assert ran_trace == stepped_trace
         assert ran.is_valid == stepped.is_valid
