@@ -12,7 +12,9 @@ quantile cost sorts the segment on every call.  The Poisson domain
 ``cost``, and once per series when ``make_cost_fn`` binds the Poisson
 closure, which then skips it.  ``fixed_start_costs`` gives one start's
 extended costs against a run of ends, with one ``gaussian_costs`` call
-for the gaussian model and the closure per end otherwise.
+for the gaussian model and the closure per end otherwise;
+``make_block_cost_fn`` binds its column-of-starts form, which only the
+gaussian model has.
 """
 
 from __future__ import annotations
@@ -239,6 +241,56 @@ def fixed_start_costs(
         b = np.arange(ends.start, ends.stop)
         return (gaussian_costs(series.cumsum, series.cumsum_sq, a, b) + q).tolist()
     return [q + cost_fn(a, e) for e in ends]
+
+
+# Cells per array in the block forms below, so a starts x ends array and
+# its temporaries stay small however many starts come in.
+_BLOCK_CELLS = 1 << 12
+
+
+def row_blocks(rows: int, width: int):
+    """Slices of ``range(rows)`` with at most ``_BLOCK_CELLS`` cells of ``width``."""
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def make_block_cost_fn(series: TimeSeries, model: CostModel):
+    """The column-of-starts form of ``fixed_start_costs``, or None.
+
+    Only the gaussian model has an array form.  The returned function
+    takes starts a_i, their DP costs q_i and a run of ends, and forms the
+    keys q_i + C(a_i, e), bit for bit as ``q_i + cost_fn(a_i, e)``, one
+    block of starts at a time.  It returns, per end, the least
+    ``(key, -a)`` over the starts (ties to the latest start), and every
+    start's key at the last end, in the order the starts came.
+    """
+    if model.kind != "gaussian":
+        return None
+    cs, css = series.cumsum, series.cumsum_sq
+
+    def block_costs(
+        starts: list[int], qs: list[float], ends: range
+    ) -> tuple[list[tuple[float, int]], list[float]]:
+        order = np.argsort(starts, kind="stable")[::-1]  # latest start first
+        a = np.asarray(starts)[order]
+        q = np.asarray(qs)[order]
+        b = np.arange(ends.start, ends.stop)
+        cols = np.arange(b.size)
+        best = np.full(b.size, np.inf)
+        best_start = np.zeros(b.size, dtype=np.int64)
+        last = np.empty(a.size)
+        for rows in row_blocks(a.size, b.size):
+            keys = gaussian_costs(cs, css, a[rows, None], b) + q[rows, None]
+            first = keys.argmin(axis=0)
+            low = keys[first, cols]
+            # an earlier block holds later starts, so it keeps its ties
+            better = low < best
+            best[better] = low[better]
+            best_start[better] = a[rows][first[better]]
+            last[order[rows]] = keys[:, -1]
+        return list(zip(best.tolist(), (-best_start).tolist())), last.tolist()
+
+    return block_costs
 
 
 def _mad_fn(series: TimeSeries) -> Callable[[int, int], float]:

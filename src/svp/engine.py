@@ -13,7 +13,8 @@ the DP table ``r``, the links ``slink`` and three more things:
   the key ``r[s].q - slack``.  The pending starts are then always the
   index range ``[nxt, t)``; no queue holds them.
 - ``states[s]``, the start's validity state, created the first time a
-  scan reaches it and deleted when the scan kills it.
+  scan reaches it and deleted when the scan kills it or a run-ahead
+  settles it.
 
 Each step consults the groups in increasing segment count and, within a
 group, the starts in increasing extended cost ``r[s].q + C(s, t)`` with
@@ -41,17 +42,31 @@ runner touches one small group per step, which is what makes the
 incremental-GLR configuration scale near-linearly on change-free data.
 A group the scan leaves empty is deleted.
 
-Run-ahead: after the scan at step t, when the start s found is the only
-entry of its group k and k is the lowest group left, s answers each
-later step until (s, t'] turns invalid or the horizon is reached, the
+Run-ahead: after the scan at step t finds start s in group k, the
+lowest group left, s answers each later step until (s, t'] turns invalid,
+another entry of group k reaches s's key, or the horizon is reached: the
 step at which the first pending start of group k or lower
-(``r[s'].k <= k`` for an s' no heap holds yet) becomes eligible.  One
-``ValidityState.extend_while_valid`` call feeds s to that end; the cost
-layer's ``fixed_start_costs`` fills the rows in between with ``r[s].q``
-plus their costs, and their links are s.  The loop resumes at the stop
-step.  If a sticky test failed s there, s's group is deleted, since s
-was its only entry.  Under a non-sticky test s stays, and the stop
-step's scan consults it again.
+(``r[s'].k <= k`` for an s' no heap holds yet) becomes eligible.  When s
+is the group's one entry, one ``ValidityState.extend_while_valid`` call
+feeds s to the horizon.  Otherwise the run goes in chunks of ends, 16
+and then twice as many up to 64.  The cost layer's ``fixed_start_costs``
+costs s over a chunk; every other entry whose heap entry
+``(bound, -s')`` is at or below ``(max chunk key, -s)`` is popped and
+costed over the chunk in one call of its column-of-starts form, from
+``make_block_cost_fn``.  The chunk is certified up to the first end at
+which some popped s' has ``(key', -s') <= (key, -s)``; the entries left
+in the heap are certified by their bounds.  Only then is s fed, up to
+the certified end, so s is fed exactly where the scan would have found
+it, and traces match a scan's.  The rows s answers take ``r[s].q`` plus
+its costs and the link s; the popped entries go back at their keys at
+the last filled row, lowered by ``slack``, or unchanged when no row was
+filled.  Under a sticky test an untraced run also drops every popped
+s' < s that ``validity.split_settled``, the array form of the split
+check, settles by its gain at s in the filled rows, and frees its
+state.  A cost with no array form runs ahead only when s is alone.  The
+loop resumes at the stop step.  If a sticky test failed s there, s
+leaves its group, and an emptied group is deleted.  Under a non-sticky
+test s stays, and the stop step's scan consults it again.
 
 ``op_pelt_run`` is the penalized optimal-partitioning baseline; its
 ``prune`` flag applies the classic PELT inequality.
@@ -75,10 +90,15 @@ from .core import (
     TimeSeries,
     backtrack,
 )
-from .costs import CostModel, fixed_start_costs, make_cost_fn, max_cost_fall
-from .validity import ValidityState, ValidityTest, is_segment_valid
+from .costs import CostModel, fixed_start_costs, make_block_cost_fn, make_cost_fn, max_cost_fall
+from .validity import ValidityState, ValidityTest, is_segment_valid, split_settled
 
 StatTrace = Callable[[int, int, float], None]
+
+# A run-ahead that shares its group certifies chunks of ends, the first
+# this long and each next one twice as long, up to the last.
+_FIRST_CHUNK = 16
+_LAST_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -125,6 +145,7 @@ def svp_run(
     new_state = test.new_state
     kill = test.sticky
     cost_fn = make_cost_fn(series, config.cost)
+    block_costs = make_block_cost_fn(series, config.cost)
     slack = max_cost_fall(series, config.cost)
     r: list[BiPoint] = [ZERO_BIPOINT]
     slink: list[int] = [0]
@@ -181,21 +202,71 @@ def svp_run(
         r.append(r_t)
         slink.append(s_t)
         t += 1
-        if len(groups[k]) > 1 or k != min(groups):
+        heap = groups[k]
+        if k != min(groups) or (len(heap) > 1 and block_costs is None):
             continue
-        # s_t is alone in the lowest group, so it answers every step before
-        # the first at which a pending start, one of [nxt, t), is eligible
-        # in group k or a lower one.
+        # s_t, in the lowest group, can answer every step before the first
+        # at which a pending start, one of [nxt, t), is eligible in group k
+        # or a lower one, while it stays valid and no other entry of its
+        # group reaches its key.
         horizon = next((s + min_len for s in range(nxt, t) if r[s].k <= k), n + 1)
-        if horizon > t:
-            stop = states[s_t].extend_while_valid(series, horizon - 1, stat_trace)
-            run = fixed_start_costs(series, config.cost, cost_fn, s_t, range(t, stop), r[s_t].q)
-            r.extend([BiPoint(r_t.k, v) for v in run])
+        base = r[s_t].q
+        state = states[s_t]
+        own = (r_t.q - slack, -s_t, s_t)  # the scan put s_t back with this bound
+        size = _FIRST_CHUNK
+        dead = False
+        while t < horizon:
+            if len(heap) == 1:
+                end, keys, popped = horizon, None, [heappop(heap)]
+            else:
+                end = min(t + size, horizon)
+                keys = fixed_start_costs(series, config.cost, cost_fn, s_t, range(t, end), base)
+                top = (max(own[0], max(keys)), -s_t, s_t)
+                popped = []
+                while heap and heap[0] <= top:
+                    popped.append(heappop(heap))
+            rivals = [entry for entry in popped if entry[2] != s_t]
+            starts = [s for _, _, s in rivals]
+            qs = [r[s].q for s in starts]
+            certified = end
+            if rivals:
+                best, last = block_costs(starts, qs, range(t, end))
+                certified = next(
+                    (e for e, key, b in zip(range(t, end), keys, best) if b <= (key, -s_t)), end
+                )
+            stop = min(state.extend_while_valid(series, certified - 1, stat_trace), certified)
+            if keys is None:
+                keys = fixed_start_costs(series, config.cost, cost_fn, s_t, range(t, stop), base)
+            r.extend([BiPoint(r_t.k, v) for v in keys[: stop - t]])
             slink.extend([s_t] * (stop - t))
-            if stop < horizon and kill:
-                # s_t was the one entry of its group
-                del groups[k], states[s_t]
+            # Entries go back at their keys at the last filled row, unchanged
+            # when no row was filled.  Under a sticky test an untraced run
+            # drops the rivals that the gain at s_t settles in those rows.
+            dead = kill and stop < certified
+            settled = set()
+            if stop > t:
+                own = (keys[stop - t - 1] - slack, -s_t, s_t)
+                if rivals:
+                    if stop < end:
+                        last = block_costs(starts, qs, range(stop - 1, stop))[1]
+                    rivals = [(key - slack, -s, s) for s, key in zip(starts, last)]
+                    if kill and stat_trace is None:
+                        settled = set(split_settled(series, test, starts, s_t, range(t, stop)))
+            if not dead:
+                rivals.append(own)
+            for entry in rivals:
+                if entry[2] in settled:
+                    states.pop(entry[2], None)
+                else:
+                    heappush(heap, entry)
             t = stop
+            if stop < end:
+                break
+            size = min(2 * size, _LAST_CHUNK)
+        if dead:
+            del states[s_t]
+            if not heap:
+                del groups[k]
     if not r[n].is_finite:
         raise InfeasiblePartitionError(
             "no partition satisfies the validity constraint; "

@@ -21,7 +21,9 @@ asks it first for a state the previous step did not reach, so a doomed
 start costs one scan, not a catch-up.
 For the GLR test an untraced catch-up first tries the gain at one split
 the caller names (the engine's latest change), a constant-time element
-of the full scan that settles most doomed starts on its own.
+of the full scan that settles most doomed starts on its own;
+``split_settled`` is the same check over many starts and ends in one
+array call, with which the engine drops doomed starts during a run-ahead.
 ``extend_while_valid`` feeds a state forward to its first invalid end,
 which is how the engine answers a long valid stretch in one call; a
 sticky ``catch_up`` feeds through it too, so stable feeding has one
@@ -49,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DomainError, TimeSeries
-from .costs import _check_range, gaussian_costs, gaussian_rounding
+from .costs import _check_range, gaussian_costs, gaussian_rounding, row_blocks
 
 @dataclass(frozen=True)
 class ValidityTest:
@@ -546,14 +548,46 @@ def certainly_invalid(
     return value if value > limit else None
 
 
+def split_settled(
+    series: TimeSeries, test: ValidityTest, starts: list[int], split: int, ends: range
+) -> list[int]:
+    """The starts that ``certainly_invalid``'s split branch settles at some end.
+
+    The array form of that branch: for each start s < ``split`` and each
+    end t of ``ends`` (all above ``split``), the gain of (s, t] at
+    ``split`` and its limit are the floats ``certainly_invalid`` forms,
+    bit for bit, in blocks of starts.  Returns, in order, the starts whose
+    gain clears the limit at one end or more; each such segment, and
+    under a sticky test every extension of it, is invalid.  Only the GLR
+    test has this form; other kinds return no start.
+    """
+    if test.kind != "glr_gaussian_focus":
+        return []
+    cs, css = series.cumsum, series.cumsum_sq
+    a = np.asarray([s for s in starts if s < split])
+    t = np.arange(ends.start, ends.stop)
+    right = gaussian_costs(cs, css, split, t)
+    css_t = css[t]
+    bound_t = gaussian_rounding(t, css_t)
+    settled = []
+    for rows in row_blocks(a.size, t.size):
+        s = a[rows, None]
+        gain = gaussian_costs(cs, css, s, t) - gaussian_costs(cs, css, s, split) - right
+        limit = test.gamma + (bound_t + gaussian_rounding(t - s, css_t - css[s]))
+        settled += a[rows][(gain > limit).any(axis=1)].tolist()
+    return settled
+
+
 def is_segment_valid(series: TimeSeries, a: int, b: int, test: ValidityTest) -> bool:
     """Check one segment against the test by direct recomputation.
 
     A sticky test checks the full-scan statistic at every prefix end,
-    any other test the whole segment only.
+    any other test the whole segment only.  Range is sticky, but max - min
+    never falls as a segment grows, so its statistic at ``b`` decides and
+    only that end is checked.
     """
     _check_range(series, a, b)
-    ends = range(a + 1, b + 1) if test.sticky else (b,)
+    ends = range(a + 1, b + 1) if test.sticky and test.kind != "range" else (b,)
     return all(segment_statistic(series, a, u, test.kind) <= test.gamma for u in ends)
 
 

@@ -375,8 +375,12 @@ def test_c09_runtime_scaling_exponents():
 
 # Log-log slopes of svp-glr's deterministic work counts, each count plus
 # one so that a count that stays 0 fits as flat, at n = 1000..8000 on the
-# seed-99 series: (scalar cost-closure calls, values fed to validity
-# states, full-window checks).  Measured once; the bound is each slope
+# seed-99 series: (costed (start, end) pairs, by the scalar cost closure
+# or its column-of-starts form; values fed to validity states; starts
+# checked behind by certainly_invalid or settled by its array form).
+# Counting both forms keeps the slopes those of the same work however a
+# run-ahead batches it; the "up" slopes read 0.89 and 1.01 when
+# run-aheads began to batch.  Measured once; the bound is each slope
 # plus or minus C09_COUNT_MARGIN.  A change that moves a count's growth
 # out of its band re-measures it here.
 C09_COUNT_SLOPES = {
@@ -395,8 +399,10 @@ def test_c09_count_scaling_exponents(monkeypatch, name):
     """
     counts = [0, 0, 0]
     make_cost_fn = engine.make_cost_fn
+    make_block_cost_fn = engine.make_block_cost_fn
     feed = validity.ValidityState.feed
     certainly_invalid = validity.certainly_invalid
+    split_settled = engine.split_settled
 
     def counted_make_cost_fn(series, model):
         cost_fn = make_cost_fn(series, model)
@@ -404,6 +410,15 @@ def test_c09_count_scaling_exponents(monkeypatch, name):
         def counted(a, b):
             counts[0] += 1
             return cost_fn(a, b)
+
+        return counted
+
+    def counted_make_block_cost_fn(series, model):
+        block_costs = make_block_cost_fn(series, model)
+
+        def counted(starts, qs, ends):
+            counts[0] += len(starts) * len(ends)
+            return block_costs(starts, qs, ends)
 
         return counted
 
@@ -415,7 +430,14 @@ def test_c09_count_scaling_exponents(monkeypatch, name):
         counts[2] += 1
         return certainly_invalid(*args)
 
+    def counted_split_settled(*args):
+        starts = split_settled(*args)
+        counts[2] += len(starts)
+        return starts
+
     monkeypatch.setattr(engine, "make_cost_fn", counted_make_cost_fn)
+    monkeypatch.setattr(engine, "make_block_cost_fn", counted_make_block_cost_fn)
+    monkeypatch.setattr(engine, "split_settled", counted_split_settled)
     monkeypatch.setattr(validity.ValidityState, "feed", counted_feed)
     monkeypatch.setattr(validity, "certainly_invalid", counted_certainly_invalid)
     points = ([], [], [])
@@ -426,7 +448,7 @@ def test_c09_count_scaling_exponents(monkeypatch, name):
         for column, count in zip(points, counts):
             column.append((n, count + 1))
     slopes = [fit_loglog_slope(column) for column in points]
-    labels = ("closure calls", "values fed", "full-window checks")
+    labels = ("costed pairs", "values fed", "full-window checks")
     for label, slope, measured in zip(labels, slopes, C09_COUNT_SLOPES[name]):
         low, high = measured - C09_COUNT_MARGIN, measured + C09_COUNT_MARGIN
         assert low <= slope <= high, (

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svp import CostModel, DomainError, InvalidRangeError, TimeSeries, cost
-from svp.costs import fixed_start_costs, gaussian_costs, mad_cost, make_cost_fn, poisson_cost
+from svp import costs
+from svp.costs import (
+    fixed_start_costs,
+    gaussian_costs,
+    mad_cost,
+    make_block_cost_fn,
+    make_cost_fn,
+    poisson_cost,
+)
 
 from oracles import exact_mad, naive_cost
 
@@ -170,6 +178,41 @@ class TestFixedStartCosts:
                 got = fixed_start_costs(ts, model, cost_fn, a, ends, q)
                 assert [c.hex() for c in got] == [(q + closure(a, e)).hex() for e in ends]
             assert fixed_start_costs(ts, model, cost_fn, 0, range(5, 5), 1.5) == []
+
+
+class TestBlockCosts:
+    """The column-of-starts form gives, per end, the least (q + C(a, e), -a)
+    of the closure's keys, ties to the latest start, and every start's key
+    at the last end, bit for bit, whatever the block size; only the
+    gaussian model has it."""
+
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 12])
+    def test_equals_the_closure(self, monkeypatch, cells):
+        monkeypatch.setattr(costs, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(29)
+        ties = np.round(2.0 * rng.normal(0.0, 3.0, size=150)) / 2.0
+        model = CostModel("gaussian")
+        for ts in (TestGaussianCosts.runs_at_offset(), series(ties)):
+            n = len(ts)
+            block_costs, closure = make_block_cost_fn(ts, model), make_cost_fn(ts, model)
+            for _ in range(20):
+                first = int(rng.integers(2, n + 1))
+                ends = range(first, int(rng.integers(first, n + 1)) + 1)
+                starts = [int(a) for a in rng.permutation(first)[: int(rng.integers(1, 40))]]
+                # equal DP costs make equal keys on constant runs
+                qs = [float(rng.choice([0.0, 1.5])) for _ in starts]
+                best, last = block_costs(starts, qs, ends)
+                keys = [[q + closure(a, e) for e in ends] for a, q in zip(starts, qs)]
+                expected = [min((row[j], -a) for a, row in zip(starts, keys)) for j in range(len(ends))]
+                assert [(k.hex(), a) for k, a in best] == [(k.hex(), a) for k, a in expected]
+                assert [k.hex() for k in last] == [row[-1].hex() for row in keys]
+
+    def test_only_gaussian_has_an_array_form(self):
+        ts = series([1.0, 2.0, 4.0])
+        assert all(
+            make_block_cost_fn(ts, model) is None
+            for model in (CostModel("poisson"), CostModel("mad"), CostModel("quantile", 0.2))
+        )
 
 
 @st.composite

@@ -288,10 +288,16 @@ def table_hex(result):
     )
 
 
-def spy_cost_calls(monkeypatch):
-    """The (a, b) of every scalar cost-closure call the engine makes, in order."""
+def spy_cost_calls(monkeypatch, blocks=False):
+    """The (a, b) of every scalar cost-closure call the engine makes, in order.
+
+    With ``blocks`` the list also holds every (a, b) pair that the
+    closure's column-of-starts form, ``make_block_cost_fn``, costs, so a
+    count of costed pairs does not depend on which form costed them.
+    """
     calls = []
     make = engine.make_cost_fn
+    make_block = engine.make_block_cost_fn
 
     def counted_make_cost_fn(series, model):
         cost_fn = make(series, model)
@@ -302,8 +308,35 @@ def spy_cost_calls(monkeypatch):
 
         return counted
 
+    def counted_make_block_cost_fn(series, model):
+        block_costs = make_block(series, model)
+        if block_costs is None:
+            return None
+
+        def counted(starts, qs, ends):
+            calls.extend((a, b) for a in starts for b in ends)
+            return block_costs(starts, qs, ends)
+
+        return counted
+
     monkeypatch.setattr(engine, "make_cost_fn", counted_make_cost_fn)
+    if blocks:
+        monkeypatch.setattr(engine, "make_block_cost_fn", counted_make_block_cost_fn)
     return calls
+
+
+def spy_batch_settles(monkeypatch):
+    """Every start that the array form of the split check settles, in order."""
+    settled = []
+    split_settled = engine.split_settled
+
+    def spy(*args):
+        starts = split_settled(*args)
+        settled.extend(starts)
+        return starts
+
+    monkeypatch.setattr(engine, "split_settled", spy)
+    return settled
 
 
 class TestGroupScanDifferential:
@@ -478,12 +511,15 @@ class TestCertificateDifferential:
 
         monkeypatch.setattr(validity, "segment_statistic", scan_spy)
         monkeypatch.setattr(validity, "certainly_invalid", spy)
+        batch = spy_batch_settles(monkeypatch)
         base = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=5)).values
         ts = TimeSeries.from_values(np.round(2.0 * base) / 2.0 + offset)
         config = EngineConfig(
             cost=CostModel(cost_kind), test=ValidityTest(kind, gamma=gamma, sticky=True)
         )
         assert table_hex(svp_run(ts, config)) == table_hex(reference_run(ts, config))
+        # a start the split check settles in a run-ahead's batch takes no scan
+        settled += [(True, False)] * len(batch)
         if kind != "glr_gaussian_focus" or offset == 0.0:
             assert any(value for value, _ in settled)
         if kind != "glr_gaussian_focus":
@@ -494,9 +530,10 @@ class TestCertificateDifferential:
 
 
 class TestRunAheadDifferential:
-    """Run-ahead answers long valid stretches in one feed loop; on long
-    change-free and long-segment series its tables stay bit-identical to
-    the reference, which consults every start at every step."""
+    """Run-ahead answers long valid stretches in one feed loop, also where
+    the found start shares its group and certifies chunks against it; on
+    long change-free and long-segment series its tables stay bit-identical
+    to the reference, which consults every start at every step."""
 
     @pytest.mark.parametrize("min_seg_len", [1, 5])
     @pytest.mark.parametrize(
@@ -520,6 +557,25 @@ class TestRunAheadDifferential:
         assert table_hex(lazy) == table_hex(reference_run(ts, config))
         assert max(ran) >= 100
 
+    def test_up_k4_run_aheads_answer_most_rows(self, monkeypatch):
+        # a glr-k4 series: run-aheads answer 3963 of its 4000 rows and
+        # the scan consults 37 steps.  Running ahead through the first
+        # segment only answered about 1010
+        consulted = set()
+        catch_up = validity.ValidityState.catch_up
+
+        def catch_up_spy(state, series, upto, *args):
+            consulted.add(upto)
+            return catch_up(state, series, upto, *args)
+
+        monkeypatch.setattr(validity.ValidityState, "catch_up", catch_up_spy)
+        n = 4000
+        ts = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=1000))
+        test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
+        result = svp_run(ts, gaussian_config(test))
+        assert result.segmentation.boundaries == (0, 1001, 1993, 3000, 4000)
+        assert n - len(consulted) >= 0.95 * n
+
     @pytest.mark.parametrize("name,segments,seed", [("up", 3, 0), ("updown", 20, 2)])
     def test_pending_starts_block_the_run_ahead(self, name, segments, seed):
         # With a minimum segment length the starts of the last
@@ -529,6 +585,88 @@ class TestRunAheadDifferential:
         ts = generate(Scenario(name=name, n=400, jump=1.5, segments=segments, seed=seed))
         config = gaussian_config(ValidityTest("range", gamma=5.5), min_seg_len=12)
         assert table_hex(svp_run(ts, config)) == table_hex(reference_run(ts, config))
+
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("min_seg_len", [1, 5])
+    @pytest.mark.parametrize("sticky", [True, False], ids=["sticky", "plain"])
+    def test_later_segments_run_ahead(self, monkeypatch, sticky, min_seg_len, traced):
+        # a run-ahead answers steps that no scan consults.  Under a sticky
+        # test one of at least 100 steps starts after the first change,
+        # where the found start shares its group with the first segment's
+        # starts.  A non-sticky test kills no start, so start 0's group
+        # stays below the found start's and no run-ahead starts there
+        consulted = set()
+        catch_up = validity.ValidityState.catch_up
+
+        def catch_up_spy(state, series, upto, *args):
+            consulted.add(upto)
+            return catch_up(state, series, upto, *args)
+
+        monkeypatch.setattr(validity.ValidityState, "catch_up", catch_up_spy)
+        scenario = Scenario(name="up", n=1500, jump=1.5, segments=3, seed=3)
+        ts = generate(scenario)
+        test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(1500), sticky=sticky)
+        config = gaussian_config(test, min_seg_len=min_seg_len)
+        trace = (lambda s, t, v: None) if traced else None
+        assert table_hex(svp_run(ts, config, trace)) == table_hex(reference_run(ts, config))
+        run = longest = 0
+        for t in range(scenario.true_changes[0] + 1, len(ts) + 1):
+            run = 0 if t in consulted else run + 1
+            longest = max(longest, run)
+        assert (longest >= 100) == sticky
+
+    @pytest.mark.parametrize(
+        "kind,gamma,sticky",
+        [("glr_gaussian_focus", 4.0, True), ("range", 1.5, True)], ids=["sticky-glr", "range"]
+    )
+    def test_a_rival_reaching_the_key_stops_the_chunk(self, monkeypatch, kind, gamma, sticky):
+        # On constant runs many starts tie on the extended cost.  When a
+        # popped entry ties or beats the found start, (key', -s') <=
+        # (key, -s), at an end inside a chunk, the run stops there: the
+        # scan consults that end, or an earlier one where the start fails
+        events = []
+        fixed = engine.fixed_start_costs
+        make_block = engine.make_block_cost_fn
+        catch_up = validity.ValidityState.catch_up
+
+        def fixed_spy(series, cost, cost_fn, s, ends, base):
+            keys = fixed(series, cost, cost_fn, s, ends, base)
+            events.append(("start", s, ends, keys))
+            return keys
+
+        def make_block_spy(series, model):
+            block_costs = make_block(series, model)
+
+            def spy(starts, qs, ends):
+                best, last = block_costs(starts, qs, ends)
+                events.append(("rivals", ends, best))
+                return best, last
+
+            return spy
+
+        def catch_up_spy(state, series, upto, *args):
+            events.append(("consult", upto))
+            return catch_up(state, series, upto, *args)
+
+        monkeypatch.setattr(engine, "fixed_start_costs", fixed_spy)
+        monkeypatch.setattr(engine, "make_block_cost_fn", make_block_spy)
+        monkeypatch.setattr(validity.ValidityState, "catch_up", catch_up_spy)
+        ts = TimeSeries.from_values(constant_runs(np.random.default_rng(17), 300, 5, 30))
+        config = gaussian_config(ValidityTest(kind, gamma=gamma, sticky=sticky))
+        assert table_hex(svp_run(ts, config)) == table_hex(reference_run(ts, config))
+        stops = []  # (end a rival reaches, next consulted step, tied)
+        for i, event in enumerate(events):
+            if event[0] != "rivals" or events[i - 1][:1] != ("start",) or events[i - 1][2] != event[1]:
+                continue
+            _, s, ends, keys = events[i - 1]
+            reached = [j for j, (key, b) in enumerate(zip(keys, event[2])) if b <= (key, -s)]
+            if reached and 0 < reached[0] < len(ends) - 1:
+                j = reached[0]
+                step = next(e[1] for e in events[i:] if e[0] == "consult")
+                stops.append((ends[j], step, event[2][j][0] == keys[j]))
+        assert stops and all(step <= end for end, step, _ in stops)
+        assert any(step == end and tied for end, step, tied in stops)
 
 
 class TestFeedCounts:
@@ -631,16 +769,23 @@ class TestFeedCounts:
         assert runs[0] == runs[1]
         assert runs[1][0] == 1516
 
-    @pytest.mark.parametrize("traced,scans", [(False, 71), (True, 538)], ids=["untraced", "traced"])
-    def test_up_k4_full_scan_count_is_pinned(self, monkeypatch, traced, scans):
-        # 538 starts are checked behind; untraced, the gain at the latest
-        # change settles 467 of them and 71 take the full scan, while a
-        # traced run scans every one so that it traces the full-window value
-        checks, full = [], []
+    @pytest.mark.parametrize(
+        "traced,checks,scans", [(False, 755, 71), (True, 538, 538)], ids=["untraced", "traced"]
+    )
+    def test_up_k4_full_scan_count_is_pinned(self, monkeypatch, traced, checks, scans):
+        # a check is a start that certainly_invalid is asked about or that
+        # its array form settles in a run-ahead.  538 starts are checked
+        # behind by certainly_invalid in a traced run, which scans every
+        # one so that it traces the full-window value.  Untraced, a
+        # run-ahead settles most doomed starts in batch by the gain at its
+        # start (683), the gain at the latest change settles one more
+        # (before run-aheads certified chunks it settled 467 of 538), and
+        # 71 take the full scan
+        calls, full = [], []
         segment_statistic = validity.segment_statistic
 
         def check_spy(*args):
-            checks.append(args)
+            calls.append(args)
             return certainly_invalid(*args)
 
         def scan_spy(*args):
@@ -649,19 +794,23 @@ class TestFeedCounts:
 
         monkeypatch.setattr(validity, "certainly_invalid", check_spy)
         monkeypatch.setattr(validity, "segment_statistic", scan_spy)
+        batch = spy_batch_settles(monkeypatch)
         n = 1000
         ts = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=5))
         test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
         trace = (lambda s, t, v: None) if traced else None
         result = svp_run(ts, gaussian_config(test), stat_trace=trace)
         assert result.segmentation.boundaries == (0, 253, 499, 747, 1000)
-        assert (len(checks), len(full)) == (538, scans)
+        assert (len(calls) + len(batch), len(full)) == (checks, scans)
+        assert bool(batch) != traced
 
     def test_up_k4_counts_do_not_grow_at_an_offset(self, monkeypatch):
         # the rounding bounds grow with the data's level, so at offset 1e4
         # an empirical margin switched the growth bound and the full-window
         # check off (7615 evaluations and 322 settles against 52 and 512);
-        # the derived bound keeps both at offset 0's counts
+        # the derived bound keeps both at offset 0's counts.  A settle is
+        # a start certainly_invalid or its array form settles: 512 before
+        # run-aheads settled doomed starts in batch
         evaluations, settles = [], []
         evaluate = validity.FocusState._evaluate
 
@@ -676,6 +825,7 @@ class TestFeedCounts:
 
         monkeypatch.setattr(validity.FocusState, "_evaluate", evaluate_spy)
         monkeypatch.setattr(validity, "certainly_invalid", check_spy)
+        batch = spy_batch_settles(monkeypatch)
         n = 1000
         base = generate(Scenario(name="up", n=n, jump=1.0, segments=4, seed=5)).values
         test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
@@ -683,43 +833,50 @@ class TestFeedCounts:
         for offset in (0.0, 1e4):
             evaluations.clear()
             settles.clear()
+            batch.clear()
             result = svp_run(TimeSeries.from_values(base + offset), gaussian_config(test))
-            counts.append((len(evaluations), sum(settles), result.segmentation.boundaries))
+            counts.append((len(evaluations), sum(settles) + len(batch), result.segmentation.boundaries))
         assert counts[0] == counts[1]
-        assert counts[0][:2] == (52, 512)
+        assert counts[0][:2] == (52, 687)
 
     def test_up_k4_cost_call_count_is_pinned(self, monkeypatch):
         # the group heaps cost a start only when its lower bound reaches the
-        # top of its heap: 6642 scalar closure calls on this run, where a
-        # full sort of every consulted group costs each eligible start at
-        # every step.  A heap that re-costs every key fails here
-        calls = spy_cost_calls(monkeypatch)
+        # top of its heap: 52051 costed (start, end) pairs on this run, 872
+        # by the scalar closure in the scans and the rest by its
+        # column-of-starts form in the run-aheads' chunks (6642 closure
+        # calls when only the first segment ran ahead), where a full sort
+        # of every consulted group costs each eligible start at every step.
+        # A heap that re-costs every key fails here
+        calls = spy_cost_calls(monkeypatch, blocks=True)
         n = 1000
         ts = generate(Scenario(name="up", n=n, jump=1.5, segments=4, seed=5))
         test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
         result = svp_run(ts, gaussian_config(test))
         assert result.segmentation.boundaries == (0, 253, 499, 747, 1000)
-        assert len(calls) == 6642
+        assert len(calls) == 52051
 
 
 class TestStateLifetime:
-    """A start the scan or a run-ahead kills under a sticky test loses its
-    validity state before the next step; outputs cannot show a kept dead
-    state."""
+    """A start the scan or a run-ahead kills under a sticky test, or that a
+    run-ahead settles in batch, loses its validity state before the next
+    step; outputs cannot show a kept dead state."""
 
     @pytest.mark.parametrize(
-        "kind,gamma,sticky",
+        "kind,gamma,sticky,scenario",
         [
-            ("glr_gaussian_focus", 2.0 * math.log(400), True),
-            ("range", 7.0, False),
-            ("glr_gaussian_focus", 2.0 * math.log(400), False),
+            ("glr_gaussian_focus", 2.0 * math.log(400), True, ("up", 4, 1.5, 5)),
+            ("glr_gaussian_focus", 4.0, True, ("updown", 8, 2.0, 0)),
+            ("range", 7.0, False, ("up", 4, 1.5, 5)),
+            ("glr_gaussian_focus", 2.0 * math.log(400), False, ("up", 4, 1.5, 5)),
         ],
-        ids=["sticky-glr", "range", "glr"],
+        ids=["sticky-glr", "sticky-glr-batch", "range", "glr"],
     )
-    def test_killed_states_are_freed(self, monkeypatch, kind, gamma, sticky):
+    def test_killed_states_are_freed(self, monkeypatch, kind, gamma, sticky, scenario):
         # the slotted states take no weakref, so a subclass counts them.  A
         # sticky catch_up feeds through extend_while_valid, so only the
-        # calls made outside a catch_up are run-aheads
+        # calls made outside a catch_up are run-aheads.  A start settled in
+        # batch counts as killed; on the updown series some of them had
+        # been consulted, so they had a state to free
         created, killed, live = set(), set(), set()
         checked, spans, consulting = [], [], []
         base = validity._STATE_CLASSES[kind]
@@ -756,8 +913,19 @@ class TestStateLifetime:
                     killed.add(self.start)
                 return stop
 
+        split_settled = engine.split_settled
+        batch = set()
+
+        def settled_spy(*args):
+            starts = split_settled(*args)
+            batch.update(starts)
+            killed.update(starts)
+            return starts
+
         monkeypatch.setitem(validity._STATE_CLASSES, kind, Counted)
-        ts = generate(Scenario(name="up", n=400, jump=1.5, segments=4, seed=5))
+        monkeypatch.setattr(engine, "split_settled", settled_spy)
+        name, segments, jump, seed = scenario
+        ts = generate(Scenario(name=name, n=400, jump=jump, segments=segments, seed=seed))
         test = ValidityTest(kind, gamma=gamma, sticky=sticky)
         svp_run(ts, gaussian_config(test))
         ran = [t for span in spans for t in span]
@@ -765,6 +933,9 @@ class TestStateLifetime:
         assert bool(killed) == test.sticky
         if test.sticky:
             assert ran
+        assert bool(batch) == (kind == "glr_gaussian_focus" and sticky)
+        if name == "updown":
+            assert batch & created
 
 
 class TestRankInvariance:

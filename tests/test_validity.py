@@ -27,7 +27,8 @@ from svp import (
 )
 from svp import validity
 from svp.costs import gaussian_rounding
-from svp.validity import VALIDITY_KINDS, certainly_invalid, glr_gains
+from svp import costs
+from svp.validity import VALIDITY_KINDS, certainly_invalid, glr_gains, split_settled
 
 from oracles import (
     guarded_mood_scan,
@@ -667,3 +668,49 @@ class TestThresholds:
         p = 1.0 - tail
         x = chi2_quantile_1df(p)
         assert math.erfc(math.sqrt(x / 2.0)) == pytest.approx(1.0 - p, rel=1e-12, abs=0.0)
+
+
+class TestRangeSegmentCheck:
+    """Range is sticky, yet ``is_segment_valid`` checks its statistic at the
+    segment's end only: max - min never falls as a segment grows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=split_series(), data=st.data())
+    def test_end_decides_as_the_prefix_scan(self, values, data):
+        ts = TimeSeries.from_values(values)
+        n = len(ts)
+        a = data.draw(st.integers(0, n - 1))
+        b = data.draw(st.integers(a + 1, n))
+        gamma = data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e6]))
+        prefixes = all(segment_statistic(ts, a, u, "range") <= gamma for u in range(a + 1, b + 1))
+        for sticky in (False, True):
+            assert is_segment_valid(ts, a, b, ValidityTest("range", gamma, sticky)) == prefixes
+
+
+class TestSplitSettled:
+    """``split_settled`` settles exactly the starts that
+    ``certainly_invalid``'s split branch settles at one of the ends or
+    more, whatever the block size; only the GLR test has it."""
+
+    @pytest.mark.parametrize("cells", [1, 5, 1 << 12])
+    @settings(max_examples=200, deadline=None)
+    @given(values=split_series(), data=st.data())
+    def test_equals_the_scalar_split_branch(self, cells, values, data):
+        ts = TimeSeries.from_values(values)
+        n = len(ts)
+        split = data.draw(st.integers(1, n - 1))
+        first = data.draw(st.integers(split + 1, n))
+        ends = range(first, data.draw(st.integers(first, n)) + 1)
+        starts = data.draw(st.lists(st.integers(0, n - 1), max_size=12, unique=True))
+        test = ValidityTest("glr_gaussian_focus", data.draw(st.sampled_from([0.0, 1.0, 4.0, 12.0])), True)
+        with pytest.MonkeyPatch.context() as patch:
+            # the full scan never settles, so only the split branch can
+            patch.setattr(validity, "segment_statistic", lambda *args: -math.inf)
+            expected = [
+                s for s in starts
+                if s < split and any(certainly_invalid(ts, s, t, test, split) is not None for t in ends)
+            ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(costs, "_BLOCK_CELLS", cells)
+            assert split_settled(ts, test, starts, split, ends) == expected
+        assert split_settled(ts, ValidityTest("range", 0.0), starts, split, ends) == []
