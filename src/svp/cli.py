@@ -17,6 +17,7 @@ import platform
 import sys
 import time
 from dataclasses import asdict
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -80,38 +81,52 @@ class _Parser(argparse.ArgumentParser):
 def _read_series_csv(path: str, column: Optional[str]) -> list[float]:
     """Load one numeric column: by name, by 0-based index, or else the
     first numeric cell of row 0 or row 1.  Row 0 is a header unless its
-    selected cell is a number, and always when the column is named."""
+    selected cell is a number, and always when the column is named.
+
+    Blank lines are skipped.  The rows stream past; only the selected
+    cells are kept, and they are parsed in one pass.  The first faulty
+    row in file order decides the error."""
     try:
         # utf-8-sig: a byte-order mark is not part of the first cell
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            rows = filter(None, csv.reader(fh))
+            head = list(islice(rows, 2))
+            if not head:
+                raise _CliError(EXIT_BAD_DATA, f"{path} holds no data rows")
+            header = head[0]
+            index, has_header = _select_column(head, column)
+            cells = []
+            for row in chain(head[int(has_header):], rows):
+                if index >= len(row):
+                    _parse_cells(cells)  # a faulty cell above this row comes first
+                    if not cells and index >= len(header) and all(index >= len(r) for r in rows):
+                        raise _CliError(EXIT_BAD_FLAGS, f"column index {index} is past every row")
+                    raise _CliError(EXIT_BAD_DATA, f"row {row!r} lacks column {index}")
+                cells.append(row[index])
     except OSError as exc:
         raise _CliError(EXIT_UNREADABLE, f"cannot read {path}: {exc}")
-    if not rows:
-        raise _CliError(EXIT_BAD_DATA, f"{path} holds no data rows")
+    if not cells:
+        raise _CliError(EXIT_BAD_DATA, "selected column holds no values")
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        return _parse_cells(cells)
+    return values if all(map(math.isfinite, values)) else _parse_cells(cells)
 
-    def parse(cell: str) -> float:
-        text = cell.strip()
-        if not text:
-            raise _CliError(EXIT_BAD_DATA, "empty cell in the selected column")
-        try:
-            value = float(text)
-        except ValueError:
-            raise _CliError(EXIT_BAD_DATA, f"non-numeric cell {cell!r}")
-        if not math.isfinite(value):
-            raise _CliError(EXIT_BAD_DATA, f"non-finite cell {cell!r}")
-        return value
 
-    def is_number(cell: str) -> bool:
-        try:
-            return not math.isnan(float(cell.strip()))
-        except ValueError:
-            return False
+def _is_number(cell: str) -> bool:
+    try:
+        return not math.isnan(float(cell.strip()))
+    except ValueError:
+        return False
 
-    header = rows[0]
+
+def _select_column(head: list[list[str]], column: Optional[str]) -> tuple[int, bool]:
+    """The selected column's index, and whether row 0 is a header."""
+    header = head[0]
     named = False
     if column is None:
-        numeric = [i for row in rows[:2] for i, cell in enumerate(row) if is_number(cell)]
+        numeric = [i for row in head for i, cell in enumerate(row) if _is_number(cell)]
         if not numeric:
             raise _CliError(EXIT_BAD_DATA, "no numeric column found")
         index = numeric[0]
@@ -126,16 +141,24 @@ def _read_series_csv(path: str, column: Optional[str]) -> list[float]:
             named = True
         if index < 0:
             raise _CliError(EXIT_BAD_FLAGS, f"column index must be 0 or more, got {index}")
-    has_header = named or not is_number(header[index] if index < len(header) else "")
+    return index, named or not _is_number(header[index] if index < len(header) else "")
+
+
+def _parse_cells(cells: list[str]) -> list[float]:
+    """Parse cell by cell; raise for the first empty, non-numeric or
+    non-finite one."""
     values = []
-    for row in rows[int(has_header):]:
-        if index >= len(row):
-            if all(index >= len(other) for other in rows):
-                raise _CliError(EXIT_BAD_FLAGS, f"column index {index} is past every row")
-            raise _CliError(EXIT_BAD_DATA, f"row {row!r} lacks column {index}")
-        values.append(parse(row[index]))
-    if not values:
-        raise _CliError(EXIT_BAD_DATA, "selected column holds no values")
+    for cell in cells:
+        text = cell.strip()
+        if not text:
+            raise _CliError(EXIT_BAD_DATA, "empty cell in the selected column")
+        try:
+            value = float(text)
+        except ValueError:
+            raise _CliError(EXIT_BAD_DATA, f"non-numeric cell {cell!r}")
+        if not math.isfinite(value):
+            raise _CliError(EXIT_BAD_DATA, f"non-finite cell {cell!r}")
+        values.append(value)
     return values
 
 
@@ -186,7 +209,7 @@ def cmd_detect(args) -> int:
     except SvpError as exc:
         raise _CliError(EXIT_BAD_FLAGS, str(exc))
     seg = result.segmentation
-    r_n = result.table.r[-1]
+    table = result.table
     per_segment = [
         {
             "start": a,
@@ -199,7 +222,7 @@ def cmd_detect(args) -> int:
     payload = {
         "boundaries": list(seg.boundaries),
         "k": seg.k,
-        "q": r_n.q,
+        "q": table.q[-1],
         "per_segment": per_segment,
     }
     write_json(payload, args.out)
@@ -227,7 +250,7 @@ def cmd_detect(args) -> int:
             },
             "outputs": {
                 "boundaries": list(seg.boundaries),
-                "r_n": [r_n.k, r_n.q],
+                "r_n": [table.k[-1], table.q[-1]],
                 "per_segment_costs": [s["cost"] for s in per_segment],
             },
             "versions": {

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -134,18 +135,33 @@ class Segmentation:
 
 @dataclass(frozen=True)
 class DpTable:
-    """Per-index DP record: value ``r[t]`` and last change index ``s[t]``."""
+    """The DP record as three columns of length n + 1.
 
-    r: tuple[BiPoint, ...]
+    ``r[t] = (k[t], q[t])`` is the lexicographically smallest (segment
+    count, total cost) of a valid partition of the first t values, and
+    ``s[t]`` is the last change index of one that attains it.  ``k[t]``
+    is an int, or ``math.inf`` in both ``k[t]`` and ``q[t]`` when no valid
+    partition exists; ``q[t]`` is a float.  The columns hold plain
+    numbers, which the garbage collector does not track; ``r``, the rows
+    as ``BiPoint``s, is built on first read.
+    """
+
+    k: tuple[float, ...]
+    q: tuple[float, ...]
     s: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.r) != len(self.s) or len(self.r) < 1:
-            raise SvpError("r and s must have equal length n + 1")
+        if not len(self.k) == len(self.q) == len(self.s) >= 1:
+            raise SvpError("k, q and s must have equal length n + 1")
 
     @property
     def n(self) -> int:
-        return len(self.r) - 1
+        return len(self.s) - 1
+
+    @cached_property
+    def r(self) -> tuple[BiPoint, ...]:
+        """The rows ``BiPoint(k[t], q[t])``."""
+        return tuple(map(BiPoint, self.k, self.q))
 
 
 def backtrack(table: DpTable) -> Segmentation:
@@ -156,8 +172,8 @@ def backtrack(table: DpTable) -> Segmentation:
     stored segment count.
     """
     n = table.n
-    final = table.r[n]
-    if not final.is_finite:
+    count = table.k[n]
+    if count == math.inf:
         raise InfeasiblePartitionError("no valid partition recorded for the full series")
     bounds = [n]
     t = n
@@ -169,8 +185,8 @@ def backtrack(table: DpTable) -> Segmentation:
         bounds.append(s)
         t = s
         steps += 1
-    if steps != final.k:
+    if steps != count:
         raise CorruptTableError(
-            f"backtracking took {steps} steps but the table records {final.k} segments"
+            f"backtracking took {steps} steps but the table records {count} segments"
         )
     return Segmentation(boundaries=tuple(reversed(bounds)))

@@ -2,25 +2,27 @@
 
 ``svp_run`` minimizes (segment count, total cost) lexicographically over
 all partitions whose every segment passes the validity test.  It keeps
-the DP table ``r``, the links ``slink`` and three more things:
+the DP table as columns of plain numbers, which the garbage collector
+does not track: ``r[t] = (rk[t], rq[t])``, the segment count and the
+cost, with the links ``slink``.  It keeps three more things:
 
 - ``groups[k]``, a heap of the eligible starts ``s`` with
-  ``r[s].k == k``, as ``(key, -s, s)`` entries; a start's DP cost is read
-  from ``r``.
+  ``rk[s] == k``, as ``(key, -s, s)`` entries; a start's DP cost is read
+  from ``rq``.
 - ``nxt``, the first start not yet in a heap.  A start s is eligible from
   step s + ``min_seg_len`` on, so each step t first pushes every start
-  from ``nxt`` up to t - ``min_seg_len`` whose ``r[s]`` is finite, with
-  the key ``r[s].q - slack``.  The pending starts are then always the
+  from ``nxt`` up to t - ``min_seg_len`` whose ``rk[s]`` is finite, with
+  the key ``rq[s] - slack``.  The pending starts are then always the
   index range ``[nxt, t)``; no queue holds them.
 - ``states[s]``, the start's validity state, created the first time a
   scan reaches it and deleted when the scan kills it or a run-ahead
   settles it.
 
 Each step consults the groups in increasing segment count and, within a
-group, the starts in increasing extended cost ``r[s].q + C(s, t)`` with
+group, the starts in increasing extended cost ``rq[s] + C(s, t)`` with
 ties to the latest start; the first valid start is the step's optimum.
 Every heap key is a lower bound on its start's extended cost at any
-later step: the first key lowers ``r[s].q`` (every cost is >= 0), and a
+later step: the first key lowers ``rq[s]`` (every cost is >= 0), and a
 key computed at step t goes back lowered by ``slack``, the cost layer's
 ``max_cost_fall``.  A consult keeps the keys it computes at step t in a
 second heap, ``exact``; while the smallest bound lies below the smallest
@@ -46,7 +48,7 @@ Run-ahead: after the scan at step t finds start s in group k, the
 lowest group left, s answers each later step until (s, t'] turns invalid,
 another entry of group k reaches s's key, or the horizon is reached: the
 step at which the first pending start of group k or lower
-(``r[s'].k <= k`` for an s' no heap holds yet) becomes eligible.  When s
+(``rk[s'] <= k`` for an s' no heap holds yet) becomes eligible.  When s
 is the group's one entry, one ``ValidityState.extend_while_valid`` call
 feeds s to the horizon.  Otherwise the run goes in chunks of ends, 16
 and then twice as many up to 64.  The cost layer's ``fixed_start_costs``
@@ -57,14 +59,15 @@ costed over the chunk in one call of its column-of-starts form, from
 which some popped s' has ``(key', -s') <= (key, -s)``; the entries left
 in the heap are certified by their bounds.  Only then is s fed, up to
 the certified end, so s is fed exactly where the scan would have found
-it, and traces match a scan's.  The rows s answers take ``r[s].q`` plus
-its costs and the link s; the popped entries go back at their keys at
-the last filled row, lowered by ``slack``, or unchanged when no row was
-filled.  Under a sticky test an untraced run also drops every popped
-s' < s that ``validity.split_settled``, the array form of the split
-check, settles by its gain at s in the filled rows, and frees its
-state.  A cost with no array form runs ahead only when s is alone.  The
-loop resumes at the stop step.  If a sticky test failed s there, s
+it, and traces match a scan's.  The rows s answers take the count
+``k + 1``, ``rq[s]`` plus its costs and the link s, appended to the
+columns in bulk with no object per row.  The popped entries go back at
+their keys at the last filled row, lowered by ``slack``, or unchanged
+when no row was filled.  Under a sticky test an untraced run also drops
+every popped s' < s that ``validity.split_settled``, the array form of
+the split check, settles by its gain at s in the filled rows, and frees
+its state.  A cost with no array form runs ahead only when s is alone.
+The loop resumes at the stop step.  If a sticky test failed s there, s
 leaves its group, and an emptied group is deleted.  Under a non-sticky
 test s stays, and the stop step's scan consults it again.
 
@@ -77,12 +80,10 @@ from __future__ import annotations
 import math
 from heapq import heappop, heappush
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
-    INF_BIPOINT,
-    ZERO_BIPOINT,
-    BiPoint,
     ConfigError,
     DpTable,
     InfeasiblePartitionError,
@@ -127,7 +128,8 @@ def svp_run(
     The table satisfies r[t] = lexicographic minimum of r[s] extended by
     one valid segment (s, t] of length at least ``min_seg_len``, with
     r[0] = (0, 0); cost ties go to the latest start s.  The segmentation
-    attains r[n].
+    attains r[n].  The table is returned as its columns ``k``, ``q`` and
+    ``s``; ``table.r``, the rows as ``BiPoint``s, is built when first read.
 
     ``stat_trace(s, t, value)`` is called for every validity statistic
     the run evaluates, which supports exactness audits: every prefix a
@@ -147,7 +149,8 @@ def svp_run(
     cost_fn = make_cost_fn(series, config.cost)
     block_costs = make_block_cost_fn(series, config.cost)
     slack = max_cost_fall(series, config.cost)
-    r: list[BiPoint] = [ZERO_BIPOINT]
+    rk: list[float] = [0]
+    rq: list[float] = [0.0]
     slink: list[int] = [0]
     groups: dict[int, list[tuple[float, int, int]]] = {}
     states: dict[int, ValidityState] = {}
@@ -156,11 +159,11 @@ def svp_run(
     t = 1
     while t <= n:
         while nxt <= t - min_len:
-            k, q = r[nxt]
+            k = rk[nxt]
             if k != math.inf:
-                heappush(groups.setdefault(k, []), (q - slack, -nxt, nxt))
+                heappush(groups.setdefault(k, []), (rq[nxt] - slack, -nxt, nxt))
             nxt += 1
-        found: Optional[tuple[BiPoint, int]] = None
+        found: Optional[tuple[int, float, int]] = None
         split = slink[t - 1]
         for k in sorted(groups):
             heap = groups[k]
@@ -171,7 +174,7 @@ def svp_run(
             while heap or exact:
                 if heap and (not exact or heap[0] < exact[0]):
                     _, neg_s, s = heappop(heap)
-                    heappush(exact, (r[s].q + cost_fn(s, t), neg_s, s))
+                    heappush(exact, (rq[s] + cost_fn(s, t), neg_s, s))
                     continue
                 entry = heappop(exact)
                 key, _, s = entry
@@ -179,7 +182,7 @@ def svp_run(
                 if state is None:
                     state = states[s] = new_state(s)
                 if state.catch_up(series, t, stat_trace, split):
-                    found = (BiPoint(k + 1, key), s)
+                    found = (k, key, s)
                     kept.append(entry)
                     break
                 if kill:
@@ -193,13 +196,14 @@ def svp_run(
             if found is not None:
                 break
         if found is None:
-            r.append(INF_BIPOINT)
+            rk.append(math.inf)
+            rq.append(math.inf)
             slink.append(0)
             t += 1
             continue
-        r_t, s_t = found
-        k = r_t.k - 1
-        r.append(r_t)
+        k, q_t, s_t = found
+        rk.append(k + 1)
+        rq.append(q_t)
         slink.append(s_t)
         t += 1
         heap = groups[k]
@@ -209,10 +213,10 @@ def svp_run(
         # at which a pending start, one of [nxt, t), is eligible in group k
         # or a lower one, while it stays valid and no other entry of its
         # group reaches its key.
-        horizon = next((s + min_len for s in range(nxt, t) if r[s].k <= k), n + 1)
-        base = r[s_t].q
+        horizon = next((s + min_len for s in range(nxt, t) if rk[s] <= k), n + 1)
+        base = rq[s_t]
         state = states[s_t]
-        own = (r_t.q - slack, -s_t, s_t)  # the scan put s_t back with this bound
+        own = (q_t - slack, -s_t, s_t)  # the scan put s_t back with this bound
         size = _FIRST_CHUNK
         dead = False
         while t < horizon:
@@ -227,7 +231,7 @@ def svp_run(
                     popped.append(heappop(heap))
             rivals = [entry for entry in popped if entry[2] != s_t]
             starts = [s for _, _, s in rivals]
-            qs = [r[s].q for s in starts]
+            qs = [rq[s] for s in starts]
             certified = end
             if rivals:
                 best, last = block_costs(starts, qs, range(t, end))
@@ -237,8 +241,9 @@ def svp_run(
             stop = min(state.extend_while_valid(series, certified - 1, stat_trace), certified)
             if keys is None:
                 keys = fixed_start_costs(series, config.cost, cost_fn, s_t, range(t, stop), base)
-            r.extend([BiPoint(r_t.k, v) for v in keys[: stop - t]])
-            slink.extend([s_t] * (stop - t))
+            rk.extend(repeat(k + 1, stop - t))
+            rq.extend(keys[: stop - t])
+            slink.extend(repeat(s_t, stop - t))
             # Entries go back at their keys at the last filled row, unchanged
             # when no row was filled.  Under a sticky test an untraced run
             # drops the rivals that the gain at s_t settles in those rows.
@@ -267,12 +272,12 @@ def svp_run(
             del states[s_t]
             if not heap:
                 del groups[k]
-    if not r[n].is_finite:
+    if rk[n] == math.inf:
         raise InfeasiblePartitionError(
             "no partition satisfies the validity constraint; "
             "check gamma >= 0 and min_seg_len"
         )
-    table = DpTable(r=tuple(r), s=tuple(slink))
+    table = DpTable(k=tuple(rk), q=tuple(rq), s=tuple(slink))
     return SvpResult(table=table, segmentation=backtrack(table))
 
 

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from svp import INF_BIPOINT, ZERO_BIPOINT, BiPoint, DpTable, SvpResult, backtrack
+from svp import DpTable, SvpResult, backtrack
 from svp.costs import make_cost_fn
 
 
@@ -242,7 +242,8 @@ def reference_run(series, config):
     """
     cost_fn = make_cost_fn(series, config.cost)
     values = series.values.tolist()
-    r = [ZERO_BIPOINT]
+    rk = [0]
+    rq = [0.0]
     slink = [0]
     states = {0: config.test.new_state(0)}
     for t in range(1, len(values) + 1):
@@ -250,15 +251,17 @@ def reference_run(series, config):
         for s, state in states.items():
             state.feed(values[t - 1])
             if t - s >= config.min_seg_len and state.is_valid:
-                key = (r[s].k + 1, r[s].q + cost_fn(s, t), -s)
+                key = (rk[s] + 1, rq[s] + cost_fn(s, t), -s)
                 if best is None or key < best:
                     best = key
         if best is None:
-            r.append(INF_BIPOINT)
+            rk.append(math.inf)
+            rq.append(math.inf)
             slink.append(0)
             continue
-        r.append(BiPoint(best[0], best[1]))
+        rk.append(best[0])
+        rq.append(best[1])
         slink.append(-best[2])
         states[t] = config.test.new_state(t)
-    table = DpTable(r=tuple(r), s=tuple(slink))
+    table = DpTable(k=tuple(rk), q=tuple(rq), s=tuple(slink))
     return SvpResult(table=table, segmentation=backtrack(table))

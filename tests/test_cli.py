@@ -146,13 +146,60 @@ class TestDetect:
             ("id,nan\n1,10\n2,20\n", ("--column", "1"), [10.0, 20.0]),
             ("\ufeff1.5\n2.5\n3.5\n4.5\n", (), [1.5, 2.5, 3.5, 4.5]),
             ("\ufeffvalue\n1.5\n2.5\n", ("--column", "value"), [1.5, 2.5]),
+            ("value\n\x1c1.5\n2.5\x1f\n", (), [1.5, 2.5]),
         ],
         ids=["headerless", "index-over-header", "numeric-header-cell", "nan-header-cell",
-             "bom-headerless", "bom-named-column"],
+             "bom-headerless", "bom-named-column", "separator-padding"],
     )
     def test_header_rule(self, tmp_path, text, flags, values):
         # row 0 is a header unless its selected cell is a number
         assert values_read(tmp_path, text, *flags) == values
+
+    @pytest.mark.parametrize(
+        "text, flags, code, message",
+        [
+            ("a,b\n1.0,2.0\n,3.0\n", (), 3, "empty cell in the selected column"),
+            ("value\n1.0\n  \n2.0\n", (), 3, "empty cell in the selected column"),
+            ("value\n1.0\noops\n2.0\n", (), 3, "non-numeric cell 'oops'"),
+            ("value\n1.0\nnan\n2.0\n", (), 3, "non-finite cell 'nan'"),
+            ("value\n1.0\n-inf\n2.0\n", (), 3, "non-finite cell '-inf'"),
+            ("value\n1.0\n inf\noops\n", (), 3, "non-finite cell ' inf'"),
+            ("a,b\n1.0,10.0\n2.0\n3.0,30.0\n", ("--column", "1"), 3,
+             "row ['2.0'] lacks column 1"),
+            ("a,b\n1.0,10.0\n2.0,20.0\n", ("--column", "5"), 4,
+             "column index 5 is past every row"),
+            ("a,b\n1.0\n2.0\n", ("--column", "1"), 3, "row ['1.0'] lacks column 1"),
+            ("a,b\n1.0,10.0\n2.0,x\n3.0,30.0\n4.0\n", ("--column", "1"), 3,
+             "non-numeric cell 'x'"),
+            ("a,b\n1.0,10.0\n2.0\n3.0,x\n", ("--column", "1"), 3,
+             "row ['2.0'] lacks column 1"),
+            ("", (), 3, "holds no data rows"),
+            ("\n\n", (), 3, "holds no data rows"),
+            ("value\n", ("--column", "value"), 3, "selected column holds no values"),
+            ("a,b\nx,y\n", (), 3, "no numeric column found"),
+            ("\ufeffvalue\n\n 1.5 \n\n\t2.5\n", (), 0, ""),
+        ],
+        ids=["empty-cell", "blank-cell", "non-numeric", "nan", "minus-inf",
+             "non-finite-before-non-numeric", "short-row", "column-past-every-row",
+             "header-only-has-column", "first-faulty-row-wins", "short-row-first",
+             "empty-file", "blank-lines-only", "header-only", "no-numeric-column",
+             "blank-lines-bom-padded"],
+    )
+    def test_csv_reader_exit_codes_and_messages(self, tmp_path, capsys, text, flags, code,
+                                                message):
+        # the first faulty row in file order decides the message
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text(text, encoding="utf-8")
+        points = tmp_path / "points.csv"
+        assert main(["detect", "--input", str(csv_path), "--test", "range", "--gamma", "1e9",
+                     "--out", str(tmp_path / "out.json"), "--points-csv", str(points),
+                     *flags]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.endswith(f"{message}\n"), err
+        else:
+            assert err == ""
+            assert points.read_text().splitlines()[1:] == ["1,1.5,0,2,2", "2,2.5,0,2,2"]
 
     def test_standardize_mad_diff(self, tmp_path, capsys):
         csv_path = tmp_path / "scaled.csv"

@@ -101,26 +101,20 @@ class TestSegmentation:
 
 class TestBacktrack:
     def test_link_following(self):
-        table = DpTable(
-            r=(BiPoint(0, 0.0), BiPoint(1, 0.0), BiPoint(1, 0.0), BiPoint(2, 0.0), BiPoint(2, 0.0)),
-            s=(0, 0, 0, 2, 2),
-        )
+        table = DpTable(k=(0, 1, 1, 2, 2), q=(0.0,) * 5, s=(0, 0, 0, 2, 2))
         assert backtrack(table).boundaries == (0, 2, 4)
 
     def test_single_segment(self):
-        table = DpTable(r=(BiPoint(0, 0.0), BiPoint(1, 0.0)), s=(0, 0))
+        table = DpTable(k=(0, 1), q=(0.0, 0.0), s=(0, 0))
         assert backtrack(table).boundaries == (0, 1)
 
     def test_corrupt_link_raises(self):
-        table = DpTable(
-            r=(BiPoint(0, 0.0), BiPoint(1, 0.0), BiPoint(2, 0.0)),
-            s=(0, 0, 2),
-        )
+        table = DpTable(k=(0, 1, 2), q=(0.0,) * 3, s=(0, 0, 2))
         with pytest.raises(CorruptTableError):
             backtrack(table)
 
     def test_count_mismatch_raises(self):
-        table = DpTable(r=(BiPoint(0, 0.0), BiPoint(3, 0.0)), s=(0, 0))
+        table = DpTable(k=(0, 3), q=(0.0, 0.0), s=(0, 0))
         with pytest.raises(CorruptTableError):
             backtrack(table)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import Counter
 
@@ -936,6 +937,29 @@ class TestStateLifetime:
         assert bool(batch) == (kind == "glr_gaussian_focus" and sticky)
         if name == "updown":
             assert batch & created
+
+
+class TestTableColumns:
+    """The DP table is three columns of plain numbers, which the garbage
+    collector does not track, so holding a result keeps a few tracked
+    objects alive, not one per row; the rows are built only when read."""
+
+    def test_columns_hold_plain_numbers(self):
+        n = 20_000
+        test = ValidityTest("glr_gaussian_focus", gamma=2.0 * math.log(n), sticky=True)
+        svp_run(generate(Scenario(name="none", n=100, seed=2)), gaussian_config(test))
+        ts = generate(Scenario(name="none", n=n, seed=2))
+        gc.collect()
+        before = len(gc.get_objects())
+        result = svp_run(ts, gaussian_config(test))
+        gc.collect()
+        assert len(gc.get_objects()) - before < 1000
+        table = result.table
+        assert len(table.k) == len(table.q) == len(table.s) == n + 1
+        # no numpy scalar leaks in from the array cost forms
+        assert all(type(q) is float for q in table.q)
+        assert all(type(k) is int or k == math.inf for k in table.k)
+        assert table.r == tuple(map(BiPoint, table.k, table.q))
 
 
 class TestRankInvariance:
